@@ -63,18 +63,12 @@ _STEP_MERGE = global_registry().histogram(
 StepHook = Callable[[PlanStep, KRelation], None]
 """Optional observer invoked after each executed step with its output relation."""
 
-KERNEL_MODES = ("auto", "sharded", "array", "batched", "scalar")
-"""The four execution tiers (plus the auto selector):
+KERNEL_MODES = ("auto", "array", "batched", "scalar")
+"""The three execution tiers (plus the auto selector):
 
 * ``"auto"`` — the columnar (numpy) tier when the monoid's carrier is a flat
   numeric scalar with a registered array kernel and numpy is importable,
   otherwise the batched kernels;
-* ``"sharded"`` — the process-parallel tier: key-range shards of the
-  columnar layout executed across a shared-memory
-  ``ProcessPoolExecutor`` with one final ⊕-fold in the parent (see
-  :mod:`repro.core.sharded`); delegates to the array tier for ineligible
-  queries, sub-threshold inputs, or an unhealthy pool, and from there
-  falls back exactly like ``"array"``;
 * ``"array"`` — same selection as ``auto`` (the explicit spelling used by
   benchmarks and the CLI; like ``auto`` it transparently falls back to the
   batched tier for exact carriers or when numpy is absent);
@@ -85,26 +79,37 @@ KERNEL_MODES = ("auto", "sharded", "array", "batched", "scalar")
 """
 
 
-def _kernel_context(kernel_mode: str):
-    if kernel_mode in ("auto", "sharded", "array", "batched"):
-        return nullcontext()
-    if kernel_mode == "scalar":
-        return scalar_kernels()
-    raise ReproError(
-        f"unknown kernel mode {kernel_mode!r}; expected one of {KERNEL_MODES}"
-    )
-
-
-def _array_kernel_if_selected(kernel_mode: str, monoid):
-    """The monoid's array kernel when *kernel_mode* selects the columnar
-    tier, else ``None`` (also validates the mode string)."""
-    if kernel_mode in ("auto", "sharded", "array"):
-        return array_kernel_for(monoid)
+def _check_kernel_mode(kernel_mode: str) -> None:
     if kernel_mode not in KERNEL_MODES:
         raise ReproError(
             f"unknown kernel mode {kernel_mode!r}; "
             f"expected one of {KERNEL_MODES}"
         )
+
+
+def selects_columnar(kernel_mode: str) -> bool:
+    """Whether *kernel_mode* selects the columnar tier (``auto``/``array``).
+
+    The one home of that decision: plan execution, fusion, the session's
+    eager columnar builds and the circuit breaker's degradable-mode check
+    all ask here.
+    """
+    return kernel_mode in ("auto", "array")
+
+
+def _kernel_context(kernel_mode: str):
+    _check_kernel_mode(kernel_mode)
+    if kernel_mode == "scalar":
+        return scalar_kernels()
+    return nullcontext()
+
+
+def _array_kernel_if_selected(kernel_mode: str, monoid):
+    """The monoid's array kernel when *kernel_mode* selects the columnar
+    tier, else ``None`` (also validates the mode string)."""
+    _check_kernel_mode(kernel_mode)
+    if selects_columnar(kernel_mode):
+        return array_kernel_for(monoid)
     return None
 
 
@@ -119,7 +124,7 @@ def _attempt_columnar(annotated: KDatabase, kernel_mode: str, executor):
     """
     array_kernel = _array_kernel_if_selected(kernel_mode, annotated.monoid)
     if array_kernel is None:
-        if kernel_mode in ("auto", "sharded", "array"):
+        if selects_columnar(kernel_mode):
             _TIER_FALLBACKS.labels(reason="no_kernel").inc()
         return None
     if annotated.columnar_declined(array_kernel):
@@ -207,19 +212,14 @@ def execute_plan(
     """
     started = time.perf_counter()
     if on_step is None:
-        if kernel_mode == "sharded":
-            executor = lambda kernel: _execute_plan_sharded(  # noqa: E731
-                plan, annotated, kernel
-            )
-        else:
-            executor = lambda kernel: _execute_plan_columnar(  # noqa: E731
-                plan, annotated, kernel
-            )
-        report = _attempt_columnar(annotated, kernel_mode, executor)
+        report = _attempt_columnar(
+            annotated,
+            kernel_mode,
+            lambda kernel: _execute_plan_columnar(plan, annotated, kernel),
+        )
         if report is not None:
-            tier = "sharded" if kernel_mode == "sharded" else "array"
-            _TIER_EXECUTIONS.labels(tier=tier).inc()
-            _PLAN_SECONDS.labels(tier=tier).observe(
+            _TIER_EXECUTIONS.labels(tier="array").inc()
+            _PLAN_SECONDS.labels(tier="array").observe(
                 time.perf_counter() - started
             )
             return report
@@ -258,32 +258,6 @@ def execute_plan(
         steps_executed=len(plan.steps),
         max_live_support=max_live,
     )
-
-
-def _execute_plan_sharded(
-    plan: Plan, annotated: KDatabase[K], array_kernel
-) -> ExecutionReport:
-    """The sharded tier of :func:`execute_plan`.
-
-    Tries the process-parallel key-range execution
-    (:func:`repro.core.sharded.maybe_execute_sharded`); when it delegates —
-    ineligible query, sub-threshold input, unhealthy pool — the in-process
-    columnar tier runs instead, reusing the views already materialized for
-    the eligibility check.  ``OverflowError`` propagates to
-    :func:`_attempt_columnar` so the decline bookkeeping is shared with the
-    array tier.
-    """
-    from repro.core.sharded import maybe_execute_sharded
-
-    outcome = maybe_execute_sharded(plan, annotated, array_kernel)
-    if outcome is not None:
-        result, max_live = outcome
-        return ExecutionReport(
-            result=result,
-            steps_executed=len(plan.steps),
-            max_live_support=max_live,
-        )
-    return _execute_plan_columnar(plan, annotated, array_kernel)
 
 
 def _execute_plan_columnar(

@@ -159,8 +159,8 @@ def stack_token(kernel):
 
     Two tasks may share one stacked pass only if their kernels would do the
     same arithmetic; the token captures that — kernel type plus the
-    monoid's identity-relevant state (tolerances, exactness flags), via
-    the same state extraction the sharded tier ships to its workers.
+    monoid's identity-relevant state (tolerances, exactness flags) from
+    :func:`repro.core.kernels.monoid_payload`.
     ``None`` means "not stackable": packed vector kernels, kernels whose
     monoid state is unhashable, or no kernel at all (batched/scalar
     modes).  Memoized on the kernel instance.

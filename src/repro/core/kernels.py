@@ -533,21 +533,21 @@ def array_kernel_for(monoid: TwoMonoid[K]) -> ArrayKernel[K] | None:
 
 
 # ----------------------------------------------------------------------
-# Monoid transport: moving monoid instances across process boundaries
+# Monoid identity state: what distinguishes two instances of one monoid
 # ----------------------------------------------------------------------
-_TRANSPORT_CACHE_ATTRS = ("_kernel_cache", "_array_kernel_cache")
+_CACHE_ATTRS = ("_kernel_cache", "_array_kernel_cache")
 
 
 def monoid_payload(monoid: TwoMonoid[K]):
-    """A picklable description of *monoid* for the sharded tier's workers.
+    """The identity-relevant state of *monoid*: ``(type, state, instance)``.
 
-    Monoid instances are plain Python objects, but :func:`kernel_for` and
-    :func:`array_kernel_for` memoize built kernels *on* them — and an
-    :class:`ArrayKernel` holds a reference to the numpy module, which does
-    not pickle.  The payload is the monoid's type plus its ``__dict__``
-    minus those cache attributes; slotted/frozen monoids (which never grew
-    the caches) ship as themselves.  Workers rebuild with
-    :func:`restore_monoid` and warm their own per-process kernel caches.
+    :func:`repro.core.fused.stack_token` compares these to decide whether
+    two kernels do the same arithmetic.  :func:`kernel_for` and
+    :func:`array_kernel_for` memoize built kernels *on* the monoid, so
+    *state* is the monoid's ``__dict__`` minus those cache attributes
+    (``instance`` is ``None``).  Slotted/frozen monoids have no
+    ``__dict__``; they come back as ``(type, None, monoid)`` and compare
+    by instance.
     """
     state = getattr(monoid, "__dict__", None)
     if state is None:
@@ -555,16 +555,6 @@ def monoid_payload(monoid: TwoMonoid[K]):
     clean = {
         key: value
         for key, value in state.items()
-        if key not in _TRANSPORT_CACHE_ATTRS
+        if key not in _CACHE_ATTRS
     }
     return (type(monoid), clean, None)
-
-
-def restore_monoid(payload) -> TwoMonoid:
-    """Rebuild the monoid described by a :func:`monoid_payload` tuple."""
-    monoid_type, state, whole = payload
-    if state is None:
-        return whole
-    monoid = object.__new__(monoid_type)
-    monoid.__dict__.update(state)
-    return monoid

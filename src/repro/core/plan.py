@@ -348,35 +348,6 @@ def set_plan_cache_size(size: int) -> None:
             _plan_cache.popitem(last=False)
 
 
-def shard_root(query: BCQ) -> Variable | None:
-    """The variable shared by *every* atom of *query*, or ``None``.
-
-    This is the eligibility test for the sharded tier.  For a hierarchical
-    query with a variable ``X`` present in all atoms, partitioning every
-    relation by contiguous ranges of ``X``'s interned code is a congruence
-    for the whole plan: while two or more atoms remain live, ``X`` is never
-    private (it appears elsewhere), so every Rule 1 group and every Rule 2
-    alignment key contains ``X`` and stays inside one shard; once a single
-    atom remains, the residual steps are pure ⊕-projections down to the
-    nullary answer, and ⊕-commutativity/associativity makes the per-shard
-    fold followed by one parent fold equal to the global fold.  Queries with
-    no such variable (disconnected queries, queries with nullary atoms)
-    return ``None`` and must run on a non-sharded tier.
-
-    Ties are broken by the first atom's argument order so the choice is
-    deterministic across processes.
-    """
-    atoms = query.atoms
-    if not atoms or any(atom.is_nullary for atom in atoms):
-        return None
-    shared = None
-    for candidate in atoms[0].variables:
-        if all(atom.contains(candidate) for atom in atoms[1:]):
-            shared = candidate
-            break
-    return shared
-
-
 def plan_from_trace(trace: EliminationTrace) -> Plan:
     """Convert a successful elimination trace into a plan."""
     if not trace.success:

@@ -35,22 +35,34 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-# The one worker-count validator, shared by Scheduler ``workers=``, the
-# sharded tier's process pool and the CLI's ``--workers``/
-# ``--shard-workers`` — re-exported here as part of the admission-policy
-# surface so every serving entry point agrees on the accepted range.
-from repro.core.sharded import validate_worker_count  # noqa: F401
+from repro.core.algorithm import selects_columnar
 from repro.exceptions import RateLimitedError, ReproError, TransientError
 
 #: Shed policies :class:`AdmissionControl` accepts for a full queue.
 SHED_POLICIES = ("reject", "shed_oldest")
 
-#: Kernel modes a :class:`CircuitBreaker` may degrade *from*: only the
-#: tiers that can fall to the next rung with bit-identical results.  The
-#: sharded tier degrades in two steps — sharded → array → ``degrade_to`` —
-#: so a broken process pool first loses only the parallelism, not the
-#: columnar layout.
-_DEGRADABLE_MODES = ("auto", "sharded", "array")
+#: The single accepted worker-count range, shared by ``--workers`` and the
+#: Scheduler so every surface rejects the same values with the same message.
+MAX_WORKER_COUNT = 128
+
+
+def validate_worker_count(value, *, what: str = "worker") -> int:
+    """Validate a worker count once, identically, for every entry point.
+
+    Accepts integers in ``[1, MAX_WORKER_COUNT]`` and raises
+    :class:`~repro.exceptions.ReproError` otherwise (bools are rejected —
+    ``True`` is not a worker count).  Returns the validated value.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not 1 <= value <= MAX_WORKER_COUNT
+    ):
+        raise ReproError(
+            f"{what} count must be an integer between 1 and "
+            f"{MAX_WORKER_COUNT}, got {value!r}"
+        )
+    return value
 
 
 class TokenBucket:
@@ -346,22 +358,6 @@ class CircuitBreaker:
             return True
         return not isinstance(error, ReproError)
 
-    def _can_degrade(self, session) -> bool:
-        """Whether the session's *effective* tier has a lower rung left."""
-        mode = session.kernel_mode
-        return mode in _DEGRADABLE_MODES and mode != self.degrade_to
-
-    def _degrade(self, session) -> None:
-        if not self._can_degrade(session):
-            return
-        mode = session.kernel_mode
-        if mode == "sharded" and self.degrade_to not in ("sharded", "array"):
-            # First rung of the sharded chain: drop the process pool but
-            # keep the columnar layout; a further trip reaches degrade_to.
-            session.degrade_kernel_mode("array")
-        else:
-            session.degrade_kernel_mode(self.degrade_to)
-
     # ------------------------------------------------------------------
     # Scheduler integration points
     # ------------------------------------------------------------------
@@ -393,17 +389,15 @@ class CircuitBreaker:
             if state.failures < self.failure_threshold:
                 return
             if state.status == "closed":
-                self._degrade(session)
+                # One rung: a columnar session drops to degrade_to; any
+                # other tier has nothing lower and just starts probing.
+                mode = session.kernel_mode
+                if selects_columnar(mode) and mode != self.degrade_to:
+                    session.degrade_kernel_mode(self.degrade_to)
                 state.status = "degraded"
                 self._trips += 1
             elif state.status == "degraded":
-                if self._can_degrade(session):
-                    # The sharded chain has a rung left (array → batched):
-                    # degrade again and keep probing before opening.
-                    self._degrade(session)
-                    self._trips += 1
-                else:
-                    state.status = "open"
+                state.status = "open"
             state.failures = 0
             state.since = now
 

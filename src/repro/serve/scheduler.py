@@ -57,10 +57,8 @@ import queue
 import random
 import threading
 import time
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 
-from repro.core import sharded
-from repro.core.sharded import validate_worker_count
 from repro.engine.session import EngineSession
 from repro.exceptions import (
     CircuitOpenError,
@@ -71,7 +69,12 @@ from repro.exceptions import (
     TransientError,
 )
 from repro.obs import EventLog, MetricsRegistry, Trace, trace_of
-from repro.serve.admission import AdmissionControl, CircuitBreaker, RetryPolicy
+from repro.serve.admission import (
+    AdmissionControl,
+    CircuitBreaker,
+    RetryPolicy,
+    validate_worker_count,
+)
 from repro.serve.faults import FaultInjector
 from repro.serve.request import Request
 
@@ -88,8 +91,7 @@ _FUSED_FAMILIES = ("pqe", "expected_count")
 #: Every scheduler lifecycle event, by its historical ``stats()`` key.
 #: These are the children of ``repro_scheduler_events_total{event=…}``;
 #: :meth:`Scheduler.stats` is generated from one snapshot of this family,
-#: so the flat keys, the ``batching`` aliases and the Prometheus series
-#: can never disagree.
+#: so its keys and the Prometheus series can never disagree.
 EVENT_COUNTERS = (
     "submitted",
     "coalesced",
@@ -118,18 +120,10 @@ BATCHING_EVENTS = (
     "fused_failures",
 )
 
-#: Batching events *also* kept as historical flat ``stats()`` keys.
-FLAT_BATCHING_ALIASES = (
-    "sweeps",
-    "swept_requests",
-    "sweep_failures",
-    "fused_batches",
-    "fused_queries",
-)
-
 #: The headline counters the CLI ``--stats`` printer reports, in print
-#: order.  Each name is a flat :meth:`Scheduler.stats` key; the printer
-#: iterates this tuple, so adding a counter here is the whole change.
+#: order.  Each name is a :meth:`Scheduler.stats` key, flat or under
+#: ``"batching"``; the printer iterates this tuple, so adding a counter
+#: here is the whole change.
 HEADLINE_COUNTERS = (
     "coalesced",
     "executed",
@@ -210,16 +204,10 @@ class Scheduler:
     ----------
     workers:
         Worker-thread count (validated by
-        :func:`repro.core.sharded.validate_worker_count`, the single
-        helper shared with the CLI and ``--shard-workers``).  Results are
+        :func:`repro.serve.admission.validate_worker_count`, the single
+        helper shared with the CLI's ``--workers``).  Results are
         independent of the count — the concurrency stress tests assert
         bit-identical answers against serial evaluation for every tier.
-    shard_workers:
-        When set, configures the process pool of the sharded tier
-        (:mod:`repro.core.sharded`).  Worker threads running sessions of a
-        ``kernel_mode="sharded"`` engine dispatch their plan executions to
-        that shared pool, so N serve workers stop competing for one GIL —
-        the threads shape latency, the processes carry the fold work.
     admission:
         Admission policy (queue bound, rate limits, default deadline).
         Defaults to a no-limits :class:`AdmissionControl`.
@@ -248,18 +236,10 @@ class Scheduler:
         breaker: CircuitBreaker | None = None,
         faults: FaultInjector | None = None,
         requeue_limit: int = 5,
-        shard_workers: int | None = None,
         event_log: EventLog | None = None,
     ):
         validate_worker_count(workers, what="worker")
         self.workers = workers
-        self.shard_workers = shard_workers
-        if shard_workers is not None:
-            sharded.set_shard_workers(shard_workers)
-        if faults is not None:
-            # Chaos wiring: the injector decides, per sharded dispatch,
-            # whether to SIGKILL one pool process (see FaultPlan).
-            sharded.set_shard_fault_hook(faults.on_shard_dispatch)
         self.requeue_limit = requeue_limit
         self._admission = admission if admission is not None else AdmissionControl()
         self._retry = retry if retry is not None else RetryPolicy()
@@ -272,6 +252,7 @@ class Scheduler:
         )
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._lock = threading.Lock()
+        self._settle_lock = threading.Lock()  # first _resolve wins a future
         self._pending: dict[tuple, _Flight] = {}
         self._queued = 0  # unclaimed flights (the bounded-queue depth)
         self._closed = False
@@ -631,30 +612,34 @@ class Scheduler:
     def _resolve(
         self, future: Future, value: object, error: BaseException | None
     ) -> None:
-        """Resolve *future*, tolerating cancellation and double resolution.
+        """Record, then resolve *future*; tolerate cancellation and races.
 
         A future cancelled while queued must be skipped — calling
         ``set_result`` on it raises ``InvalidStateError`` and would kill
         the worker thread, stranding every other pending request.  A
         future already failed by ``close(timeout=…)`` while its execution
-        straggled is likewise left alone.
+        straggled is likewise left alone: the first caller to settle a
+        future owns it, so every accepted future is accounted exactly once.
 
         This is also where a request's observability closes out: the
         outcome counter, the latency histogram and the trace's final
-        ``resolved`` mark all happen here, so every accepted future is
-        accounted exactly once.
+        ``resolved`` mark are recorded *before* the future resolves, so a
+        client woken by the future (or a done-callback) already sees them.
         """
-        try:
-            if not future.set_running_or_notify_cancel():
-                self._account(future, "cancelled")
+        with self._settle_lock:
+            if getattr(future, "_repro_settled", False):
                 return
-            if error is None:
-                future.set_result(value)
-            else:
-                future.set_exception(error)
-        except InvalidStateError:
+            future._repro_settled = True
+        # PENDING → RUNNING: from here on the future cannot be cancelled,
+        # so the outcome recorded below is the one the client will see.
+        if not future.set_running_or_notify_cancel():
+            self._account(future, "cancelled")
             return
         self._account(future, classify_outcome(error))
+        if error is None:
+            future.set_result(value)
+        else:
+            future.set_exception(error)
 
     def _account(self, future: Future, outcome: str) -> None:
         """Record one future's final outcome, latency and trace line."""
@@ -678,10 +663,11 @@ class Scheduler:
         re-queued (so a surviving worker serves it) unless it already
         survived ``requeue_limit`` deaths or the scheduler is closing — in
         both cases its futures fail with :class:`TransientError` instead of
-        stranding.  A replacement worker is spawned unless closing.
+        stranding.  A replacement worker is spawned unless closing; it is
+        started *before* it joins ``_threads``, so a ``close()`` woken by
+        one of the failed futures never joins an unstarted thread.
         """
         to_fail: list[tuple[Future, float | None]] = []
-        replacement = None
         with self._lock:
             self._events["worker_deaths"].inc()
             respawn = not self._closed
@@ -707,6 +693,7 @@ class Scheduler:
                     ),
                     daemon=True,
                 )
+                replacement.start()
                 current = threading.current_thread()
                 if current in self._threads:
                     self._threads.remove(current)
@@ -717,8 +704,6 @@ class Scheduler:
             )
             for future, _expiry in to_fail:
                 self._resolve(future, None, wrapped)
-        if replacement is not None:
-            replacement.start()
 
     # ------------------------------------------------------------------
     # Lifecycle / observability
@@ -740,8 +725,6 @@ class Scheduler:
                 return
             self._closed = True
             threads = list(self._threads)
-        if self._faults is not None:
-            sharded.set_shard_fault_hook(None)
         for _ in threads:
             self._queue.put(_SHUTDOWN)
         if not wait:
@@ -783,14 +766,13 @@ class Scheduler:
         :data:`HEADLINE_COUNTERS`); the nested ``admission``/``breaker``/
         ``faults`` entries carry each policy object's full view
         (``breaker``/``faults`` are ``None`` when not installed).  Batching
-        effectiveness lives in the ``"batching"`` sub-dict — Shapley/
-        Banzhaf sweep counters next to shared-scan fusion counters — with
-        the historical flat aliases (:data:`FLAT_BATCHING_ALIASES`) kept.
+        effectiveness lives only in the ``"batching"`` sub-dict — Shapley/
+        Banzhaf sweep counters next to shared-scan fusion counters.
 
         Every number is read from **one** snapshot of
-        :attr:`metrics_registry`'s event family, so the flat keys, the
-        ``batching`` aliases and the Prometheus ``/metrics`` series are
-        views over the same counts and cannot drift apart.
+        :attr:`metrics_registry`'s event family, so these keys and the
+        Prometheus ``/metrics`` series are views over the same counts and
+        cannot drift apart.
         """
         admission = self._admission.stats()
         breaker = self._breaker.stats() if self._breaker is not None else None
@@ -806,7 +788,6 @@ class Scheduler:
             "coalesced": events["coalesced"],
             "executed": events["executed"],
             "batching": {name: events[name] for name in BATCHING_EVENTS},
-            **{name: events[name] for name in FLAT_BATCHING_ALIASES},
             "pending": pending,
             "queued": queued,
             "rejected": admission["rejected"],
@@ -822,13 +803,11 @@ class Scheduler:
             "breaker_open_rejections": (
                 breaker["open_rejections"] if breaker else 0
             ),
-            "shard_workers": sharded.shard_workers(),
             "admission": admission,
             "breaker": breaker,
             "faults": (
                 self._faults.stats() if self._faults is not None else None
             ),
-            "sharded": sharded.sharded_stats(),
         }
 
     def __repr__(self) -> str:

@@ -52,6 +52,7 @@ from repro.serve import (
     WorkerKilled,
     request_from_dict,
 )
+from repro.serve.admission import MAX_WORKER_COUNT, validate_worker_count
 from repro.workloads.generators import random_probabilistic_database
 
 SEED = int(os.environ.get("REPRO_FAULT_SEED", "11"))
@@ -128,6 +129,32 @@ class TestTokenBucket:
             TokenBucket(rate=0.0, burst=1.0)
         with pytest.raises(ReproError, match="burst must be"):
             TokenBucket(rate=1.0, burst=0.5)
+
+
+class TestValidateWorkerCount:
+    def test_accepts_the_valid_range(self):
+        for value in (1, 4, MAX_WORKER_COUNT):
+            assert validate_worker_count(value) == value
+
+    @pytest.mark.parametrize(
+        "value", [0, -1, MAX_WORKER_COUNT + 1, True, False, "4", 2.5, None]
+    )
+    def test_rejects_everything_else(self, value):
+        with pytest.raises(ReproError, match="worker count"):
+            validate_worker_count(value)
+
+    def test_message_names_the_surface(self):
+        with pytest.raises(ReproError, match="thread count"):
+            validate_worker_count(0, what="thread")
+
+    def test_scheduler_shares_the_helper(self):
+        from repro.serve.scheduler import (
+            validate_worker_count as scheduler_validate,
+        )
+
+        assert scheduler_validate is validate_worker_count
+        with pytest.raises(ReproError, match="worker count"):
+            Scheduler(workers=0)
 
 
 class TestAdmissionControl:
@@ -469,6 +496,47 @@ class TestWorkerSupervision:
         finally:
             scheduler.close()
 
+    def test_close_from_a_failed_futures_callback_joins_cleanly(self):
+        """Regression: the dying worker fails the flight's futures and runs
+        their done-callbacks on its own thread.  A ``close()`` there must
+        never see the replacement worker before it has started (that used
+        to raise ``cannot join thread before it is started``)."""
+        query, data = _workload()
+        faults = FaultInjector(seed=SEED, worker_death_rate=1.0)
+        scheduler = Scheduler(workers=1, faults=faults, requeue_limit=2)
+        session = Engine().open(query, **data)
+        # Hold the first claim until the callback is attached, so the
+        # failure (and the callback) always runs on a worker thread.
+        attached = threading.Event()
+        on_claim = faults.on_claim
+
+        def gated_on_claim():
+            assert attached.wait(10)
+            on_claim()
+
+        faults.on_claim = gated_on_claim
+        outcome: dict = {}
+
+        def close_from_callback(future):
+            outcome["thread"] = threading.current_thread()
+            try:
+                scheduler.close(timeout=10)
+            except BaseException as error:  # noqa: BLE001 — the regression
+                outcome["error"] = error
+
+        try:
+            future = scheduler.submit(session, Request.make("pqe"))
+            future.add_done_callback(close_from_callback)
+            attached.set()
+            with pytest.raises(TransientError, match="worker thread died"):
+                future.result(30)
+            assert outcome["thread"] is not threading.main_thread()
+            assert "error" not in outcome, outcome.get("error")
+            assert scheduler.stats()["worker_deaths"] == 3
+        finally:
+            attached.set()
+            scheduler.close()
+
 
 # ----------------------------------------------------------------------
 # Circuit breaker: degrade → open → half-open → recover
@@ -602,9 +670,9 @@ class TestSweepFailures:
             # resolved correctly through its own handler.
             for fact, future in futures.items():
                 assert future.result(10) == serial[fact]
-            stats = scheduler.stats()
-            assert stats["sweep_failures"] == 1
-            assert stats["sweeps"] == 0
+            batching = scheduler.stats()["batching"]
+            assert batching["sweep_failures"] == 1
+            assert batching["sweeps"] == 0
         finally:
             release.set()
             scheduler.close()
@@ -811,66 +879,3 @@ class TestChaosInvariant:
         second_outcomes, second_faults = run()
         assert first_outcomes == second_outcomes
         assert first_faults == second_faults
-
-
-# ----------------------------------------------------------------------
-# Shard-worker deaths: SIGKILLed pool processes must not change answers
-# ----------------------------------------------------------------------
-class TestShardWorkerDeaths:
-    def test_killed_pool_process_is_respawned_and_answers_survive(self):
-        """The process-level analogue of worker supervision: the injector
-        SIGKILLs a live process of the shard pool before dispatch, the
-        sharded tier rebuilds the pool and resubmits the whole shard
-        batch, and every future still resolves bit-identically to serial
-        evaluation under the same shard configuration."""
-        numpy = pytest.importorskip("numpy")  # noqa: F841 — sharded needs it
-        from repro.core.sharded import (
-            reset_sharded_stats,
-            shard_config,
-            sharded_stats,
-        )
-
-        query, data = _workload(size=150, endo=4)
-        requests = [
-            Request.make("pqe"),
-            Request.make("expected_count"),
-            Request.make("resilience"),
-            Request.make("pqe"),
-            Request.make("resilience"),
-        ]
-        with shard_config(shards=2, threshold=0):
-            serial = _serial_answers(query, data, requests, "sharded")
-            faults = FaultInjector(
-                seed=SEED, shard_death_rate=1.0, max_shard_deaths=2
-            )
-            reset_sharded_stats()
-            with Server(
-                query,
-                engine=Engine(kernel_mode="sharded"),
-                workers=2,
-                faults=faults,
-                **data,
-            ) as server:
-                answers = server.map(requests)
-                stats = sharded_stats()
-                scheduler_stats = server.stats()["scheduler"]
-        assert answers == serial
-        assert faults.stats()["shard_deaths"] == 2
-        assert stats["worker_kills"] == 2
-        assert stats["pool_rebuilds"] >= 1  # SIGKILL → BrokenProcessPool
-        assert stats["fallbacks"] == 0      # answers came from the shards
-        assert scheduler_stats["sharded"]["worker_kills"] == 2
-        # The resilience answers are exact carriers: also bit-identical
-        # to the array tier, kills or not.
-        array_serial = _serial_answers(query, data, requests, "array")
-        assert answers[2] == array_serial[2]
-        assert answers[4] == array_serial[4]
-
-    def test_hook_is_cleared_on_close(self):
-        from repro.core import sharded
-
-        faults = FaultInjector(seed=SEED, shard_death_rate=1.0)
-        query, data = _workload(size=30, endo=2)
-        with Server(query, workers=1, faults=faults, **data):
-            assert sharded._fault_hook is not None
-        assert sharded._fault_hook is None

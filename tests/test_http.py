@@ -342,11 +342,15 @@ class TestScrapeUnderLoad:
                         assert value == serial[request.signature], (
                             f"corrupted answer for {request}"
                         )
+                # Stop the scraper before the final scrape: a scrape still
+                # in flight would otherwise append its older reading after
+                # the final one, so the list would not be in render order.
+                stop.set()
+                scraper.join(timeout=30)
+                assert not scraper.is_alive()
                 # One final scrape with the workload fully drained.
                 _status, text = _get(url)
                 scrapes.append(parse_exposition(text))
-                stop.set()
-                scraper.join(timeout=30)
 
         assert not errors, f"scraper failed: {errors[0]!r}"
         assert len(scrapes) >= 2

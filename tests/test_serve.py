@@ -46,6 +46,7 @@ from repro.serve import (
     request_from_dict,
     serve_requests,
 )
+from repro.obs import trace_of
 from repro.workloads.generators import random_probabilistic_database
 
 
@@ -465,8 +466,9 @@ class TestScheduler:
             blocker.result(10)
             for fact, future in futures.items():
                 assert future.result(10) == serial[fact]
-            assert scheduler.stats()["sweeps"] == 1
-            assert scheduler.stats()["swept_requests"] == len(facts)
+            batching = scheduler.stats()["batching"]
+            assert batching["sweeps"] == 1
+            assert batching["swept_requests"] == len(facts)
         finally:
             gate.set()
             scheduler.close()
@@ -509,6 +511,61 @@ class TestScheduler:
         finally:
             release.set()
             scheduler.close()
+
+    def test_outcome_is_recorded_before_the_future_resolves(
+        self, custom_family
+    ):
+        """Regression: a client woken by the future (here, a done-callback)
+        must already see its request in ``repro_requests_total``, the
+        latency histogram and the trace's ``resolved`` mark."""
+        release = threading.Event()
+
+        def gated(session, fail):
+            assert release.wait(10)
+            if fail:
+                raise ReproError("gated failure")
+            return "gated"
+
+        custom_family("gated", gated)
+        query, data = _workload()
+        session = Engine().open(query, **data)
+        scheduler = Scheduler(workers=1)
+        seen: list = []
+
+        def observe(future):
+            snapshot = scheduler.metrics_registry.snapshot()
+            seen.append((
+                trace_of(future).outcome,
+                dict(snapshot["repro_requests_total"]),
+                snapshot["repro_request_latency_seconds"]
+                .get(("gated",), (0, 0.0))[0],
+            ))
+
+        try:
+            # Callbacks are attached while the gate holds both requests,
+            # so each one runs inside the worker's resolution.
+            futures = [
+                scheduler.submit(session, Request.make("gated", fail=fail))
+                for fail in (False, True)
+            ]
+            for future in futures:
+                future.add_done_callback(observe)
+            release.set()
+            assert futures[0].result(10) == "gated"
+            with pytest.raises(ReproError, match="gated failure"):
+                futures[1].result(10)
+        finally:
+            release.set()
+            scheduler.close()
+        # The sole worker resolves the two requests in submission order.
+        assert [outcome for outcome, _totals, _count in seen] == [
+            "ok", "error"
+        ]
+        (_, ok_totals, ok_count), (_, error_totals, error_count) = seen
+        assert ok_totals.get(("gated", "ok")) == 1
+        assert ok_count == 1
+        assert error_totals.get(("gated", "error")) == 1
+        assert error_count == 2
 
     def test_submit_after_close_raises(self):
         query, data = _workload()

@@ -4,13 +4,15 @@
 Two checks, both fast and dependency-free:
 
 * **Docstring coverage** — every public callable (function, class, or
-  public method of a public class) in ``src/repro/engine`` and
-  ``src/repro/serve`` must carry a docstring.  These are the layers the
-  serving documentation points at; an undocumented entry point there is a
-  docs regression, not a style nit.
-* **Internal links** — every relative link target in ``ARCHITECTURE.md``
-  and ``README.md`` must exist in the repository, so the documentation
-  map never silently rots as files move.
+  public method of a public class) in ``src/repro/engine``,
+  ``src/repro/serve``, ``src/repro/obs``, the tier-selection and fusion
+  modules of ``src/repro/core`` and the perf suite must carry a
+  docstring.  These are the layers the serving and performance
+  documentation points at; an undocumented entry point there is a docs
+  regression, not a style nit.
+* **Internal links** — every relative link target in ``ARCHITECTURE.md``,
+  ``README.md`` and ``PERFORMANCE.md`` must exist in the repository, so
+  the documentation map never silently rots as files move.
 
 Run from the repository root::
 
@@ -34,16 +36,22 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: Packages (or single modules) whose public callables must all be
 #: documented.  ``repro.core.fused`` rides along with the serving layers:
 #: the scheduler's batching contract is defined by its docstrings.
+#: ``repro.core.algorithm`` holds the kernel modes and the one
+#: columnar-selection predicate every tier decision calls;
+#: ``repro.bench.perf`` writes and compares the ``BENCH_perf.json``
+#: documents PERFORMANCE.md quotes.
 DOCUMENTED_PACKAGES = (
     "repro.engine",
     "repro.serve",
     "repro.serve.http",
+    "repro.core.algorithm",
     "repro.core.fused",
     "repro.obs",
+    "repro.bench.perf",
 )
 
 #: Markdown documents whose relative links must resolve.
-LINKED_DOCUMENTS = ("ARCHITECTURE.md", "README.md")
+LINKED_DOCUMENTS = ("ARCHITECTURE.md", "README.md", "PERFORMANCE.md")
 
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 
