@@ -30,7 +30,14 @@ from repro.exceptions import ReproError
 from repro.obs import global_registry
 from repro.query.bcq import BCQ
 from repro.query.elimination import Policy
-from repro.core.plan import MergeStep, Plan, PlanStep, ProjectStep, compile_plan
+from repro.core.plan import (
+    AbsorbStep,
+    MergeStep,
+    Plan,
+    PlanStep,
+    ProjectStep,
+    compile_plan,
+)
 
 _TIER_EXECUTIONS = global_registry().counter(
     "repro_tier_executions_total",
@@ -47,18 +54,16 @@ _PLAN_SECONDS = global_registry().histogram(
     "Wall-clock seconds per plan execution, by answering tier.",
     labels=("tier",),
 )
-# Per-step children resolved once: the hot loops pay two clock reads and
+_STEP_SECONDS = global_registry().histogram(
+    "repro_plan_step_seconds",
+    "Wall-clock seconds per executed plan step, by elimination rule.",
+    labels=("rule",),
+)
+# Per-rule children resolved once: the step loop pays two clock reads and
 # one striped-lock add per step, nothing else.
-_STEP_PROJECT = global_registry().histogram(
-    "repro_plan_step_seconds",
-    "Wall-clock seconds per executed plan step, by elimination rule.",
-    labels=("rule",),
-).labels(rule="project")
-_STEP_MERGE = global_registry().histogram(
-    "repro_plan_step_seconds",
-    "Wall-clock seconds per executed plan step, by elimination rule.",
-    labels=("rule",),
-).labels(rule="merge")
+_STEP_PROJECT = _STEP_SECONDS.labels(rule="project")
+_STEP_MERGE = _STEP_SECONDS.labels(rule="merge")
+_STEP_ABSORB = _STEP_SECONDS.labels(rule="absorb")
 
 StepHook = Callable[[PlanStep, KRelation], None]
 """Optional observer invoked after each executed step with its output relation."""
@@ -113,46 +118,6 @@ def _array_kernel_if_selected(kernel_mode: str, monoid):
     return None
 
 
-def _attempt_columnar(annotated: KDatabase, kernel_mode: str, executor):
-    """Run *executor(array_kernel)* on the columnar tier, or return ``None``.
-
-    The single home of the tier-selection/fallback policy shared by the
-    Boolean and grouped executors: selects (and validates) the array
-    kernel, honors a memoized not-representable verdict, and on
-    ``OverflowError`` records that verdict on the database — so both
-    engines fall back identically, now and under any future change here.
-    """
-    array_kernel = _array_kernel_if_selected(kernel_mode, annotated.monoid)
-    if array_kernel is None:
-        if selects_columnar(kernel_mode):
-            _TIER_FALLBACKS.labels(reason="no_kernel").inc()
-        return None
-    if annotated.columnar_declined(array_kernel):
-        _TIER_FALLBACKS.labels(reason="declined").inc()
-        return None
-    try:
-        return executor(array_kernel)
-    except OverflowError:
-        # Annotations outside the kernel dtype: not columnar-representable.
-        # Memoized (until a mutation) so repeated executions skip the
-        # doomed encode attempt.
-        annotated.decline_columnar(array_kernel)
-        _TIER_FALLBACKS.labels(reason="overflow").inc()
-        return None
-
-
-def _columnar_view_getter(annotated: KDatabase, array_kernel):
-    """A ``(name, live_relation) → ColumnarKRelation`` accessor that passes
-    step outputs through and lazily materializes cached input views."""
-
-    def columnar(name: str, relation):
-        if isinstance(relation, ColumnarKRelation):
-            return relation
-        return annotated.columnar_relation(name, array_kernel)
-
-    return columnar
-
-
 @dataclass
 class ExecutionReport:
     """Bookkeeping produced alongside the answer by :func:`execute_plan`.
@@ -187,6 +152,145 @@ def _merge_operands(first, second, annihilates: bool):
     return first, second
 
 
+def _identity_view(_name: str, relation):
+    return relation
+
+
+def _run_steps(
+    plan, live: dict, annihilates: bool, view=_identity_view, on_step=None
+):
+    """Algorithm 1's step loop, shared by every executor and every layout.
+
+    Replays ``plan.steps`` over *live* (relation name → relation): Rule 1
+    as ``project_out``, Rule 2 as ``merge`` with the smaller support
+    driving the probe, and the grouped engine's free-connex rule as
+    ``absorb``.  Each input is popped and read through
+    ``view(name, relation)`` — the identity for dict layouts and for the
+    fused stacked views, the lazy columnar-view lookup on the array tier —
+    so inputs convert in step-consumption order.  That order is part of
+    the answer: the database's one value interner assigns codes in
+    first-conversion order, which fixes lexsort order and with it the
+    order of float ⊕-folds.
+
+    Returns ``(final relation, max live support)``; *on_step* observes
+    every step's output.
+    """
+    max_live = sum(len(relation) for relation in live.values())
+    for step in plan.steps:
+        step_started = time.perf_counter()
+        if isinstance(step, ProjectStep):
+            name = step.source.relation
+            source = view(name, live.pop(name))
+            produced = source.project_out(step.variable, step.target)
+            histogram = _STEP_PROJECT
+        elif isinstance(step, MergeStep):
+            first = view(step.first.relation, live.pop(step.first.relation))
+            second = view(
+                step.second.relation, live.pop(step.second.relation)
+            )
+            build, probe = _merge_operands(first, second, annihilates)
+            produced = build.merge(probe, step.target)
+            histogram = _STEP_MERGE
+        else:
+            assert isinstance(step, AbsorbStep)
+            small = view(step.small.relation, live.pop(step.small.relation))
+            big = view(step.big.relation, live.pop(step.big.relation))
+            produced = big.absorb(small, step.target)
+            histogram = _STEP_ABSORB
+        histogram.observe(time.perf_counter() - step_started)
+        live[step.target.relation] = produced
+        max_live = max(
+            max_live, sum(len(relation) for relation in live.values())
+        )
+        if on_step is not None:
+            on_step(step, produced)
+    return live[plan.final_relation], max_live
+
+
+def _input_relations(annotated: KDatabase) -> dict:
+    return {
+        relation.atom.relation: relation for relation in annotated.relations()
+    }
+
+
+def _attempt_columnar(plan, annotated: KDatabase, kernel_mode: str):
+    """Run *plan* on the columnar tier, or return ``None`` to fall back.
+
+    The tier-selection/fallback policy: selects the array kernel, honors a
+    memoized not-representable verdict, and on ``OverflowError`` records
+    that verdict on the database.  Input relations are materialized lazily
+    into cached :class:`~repro.db.annotated.ColumnarKRelation` views (one
+    dict → column conversion per relation per database, amortized across
+    executions); every step then runs entirely inside numpy.
+    """
+    if not selects_columnar(kernel_mode):
+        return None
+    array_kernel = array_kernel_for(annotated.monoid)
+    if array_kernel is None:
+        _TIER_FALLBACKS.labels(reason="no_kernel").inc()
+        return None
+    if annotated.columnar_declined(array_kernel):
+        _TIER_FALLBACKS.labels(reason="declined").inc()
+        return None
+
+    def columnar(name: str, relation):
+        if isinstance(relation, ColumnarKRelation):
+            return relation  # a step output
+        return annotated.columnar_relation(name, array_kernel)
+
+    try:
+        return _run_steps(
+            plan,
+            _input_relations(annotated),
+            annotated.monoid.annihilates,
+            columnar,
+        )
+    except OverflowError:
+        # Annotations outside the kernel dtype: not columnar-representable.
+        # Memoized (until a mutation) so repeated executions skip the
+        # doomed encode attempt.
+        annotated.decline_columnar(array_kernel)
+        _TIER_FALLBACKS.labels(reason="overflow").inc()
+        return None
+
+
+def _execute_tiered(
+    plan, annotated: KDatabase, kernel_mode: str, decode, on_step=None
+):
+    """Run *plan* on the tier *kernel_mode* selects; ``(decode(final), max live)``.
+
+    The one tier wrapper of the Boolean and grouped executors: the columnar
+    tier first (unless *on_step* observes, which needs dict-layout
+    relations), else the batched kernels — or the scalar baseline under
+    ``"scalar"`` — and the tier counters either way.
+    """
+    started = time.perf_counter()
+    with _kernel_context(kernel_mode):  # validates kernel_mode
+        outcome = None
+        if on_step is None:
+            outcome = _attempt_columnar(plan, annotated, kernel_mode)
+        tier = "array"
+        if outcome is None:
+            tier = "scalar" if kernel_mode == "scalar" else "batched"
+            outcome = _run_steps(
+                plan,
+                _input_relations(annotated),
+                annotated.monoid.annihilates,
+                on_step=on_step,
+            )
+        final, max_live = outcome
+        result = decode(final)
+    _TIER_EXECUTIONS.labels(tier=tier).inc()
+    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
+    return result, max_live
+
+
+def _nullary_annotation(final):
+    if isinstance(final, ColumnarKRelation):
+        return final.nullary_annotation()
+    return final.annotation(())  # dict layout, or a step-free plan's input
+
+
 def execute_plan(
     plan: Plan,
     annotated: KDatabase[K],
@@ -202,7 +306,9 @@ def execute_plan(
     fall back to the batched kernels, and ``"scalar"`` forces per-element
     monoid dispatch (the perf-suite baseline).  Step observers (*on_step*)
     receive dict-layout relations, so instrumented runs stay on the batched
-    tier.
+    tier.  The columnar tier agrees with the batched one bit-identically
+    for int/bool carriers and within the monoid tolerance for floats
+    (⊕-fold order follows the key sort instead of the insertion order).
 
     Every execution reports to the process-wide observability registry
     (:func:`repro.obs.global_registry`): ``repro_tier_executions_total``
@@ -210,101 +316,9 @@ def execute_plan(
     its wall clock, and ``repro_tier_fallbacks_total`` classifies columnar
     declines.
     """
-    started = time.perf_counter()
-    if on_step is None:
-        report = _attempt_columnar(
-            annotated,
-            kernel_mode,
-            lambda kernel: _execute_plan_columnar(plan, annotated, kernel),
-        )
-        if report is not None:
-            _TIER_EXECUTIONS.labels(tier="array").inc()
-            _PLAN_SECONDS.labels(tier="array").observe(
-                time.perf_counter() - started
-            )
-            return report
-    with _kernel_context(kernel_mode):
-        live: dict[str, KRelation[K]] = {
-            relation.atom.relation: relation
-            for relation in annotated.relations()
-        }
-        annihilates = annotated.monoid.annihilates
-        max_live = sum(len(relation) for relation in live.values())
-        for index, step in enumerate(plan.steps):
-            step_started = time.perf_counter()
-            if isinstance(step, ProjectStep):
-                source = live.pop(step.source.relation)
-                produced = source.project_out(step.variable, step.target)
-                _STEP_PROJECT.observe(time.perf_counter() - step_started)
-            else:
-                assert isinstance(step, MergeStep)
-                first = live.pop(step.first.relation)
-                second = live.pop(step.second.relation)
-                build, probe = _merge_operands(first, second, annihilates)
-                produced = build.merge(probe, step.target)
-                _STEP_MERGE.observe(time.perf_counter() - step_started)
-            live[step.target.relation] = produced
-            max_live = max(
-                max_live, sum(len(relation) for relation in live.values())
-            )
-            if on_step is not None:
-                on_step(step, produced)
-        final = live[plan.final_relation]
-    tier = "scalar" if kernel_mode == "scalar" else "batched"
-    _TIER_EXECUTIONS.labels(tier=tier).inc()
-    _PLAN_SECONDS.labels(tier=tier).observe(time.perf_counter() - started)
-    return ExecutionReport(
-        result=final.annotation(()),
-        steps_executed=len(plan.steps),
-        max_live_support=max_live,
+    result, max_live = _execute_tiered(
+        plan, annotated, kernel_mode, _nullary_annotation, on_step
     )
-
-
-def _execute_plan_columnar(
-    plan: Plan, annotated: KDatabase[K], array_kernel
-) -> ExecutionReport:
-    """The columnar tier of :func:`execute_plan`.
-
-    Input relations are materialized lazily into cached
-    :class:`~repro.db.annotated.ColumnarKRelation` views (one dict → column
-    conversion per relation per database, amortized across executions);
-    every step then runs entirely inside numpy.  Agrees with the batched
-    tier bit-identically for int/bool carriers and within the monoid
-    tolerance for floats (⊕-fold order follows the key sort instead of the
-    insertion order).
-    """
-    live: dict[str, object] = {
-        relation.atom.relation: relation
-        for relation in annotated.relations()
-    }
-    columnar = _columnar_view_getter(annotated, array_kernel)
-    annihilates = annotated.monoid.annihilates
-    max_live = sum(len(relation) for relation in live.values())
-    for step in plan.steps:
-        step_started = time.perf_counter()
-        if isinstance(step, ProjectStep):
-            name = step.source.relation
-            source = columnar(name, live.pop(name))
-            produced = source.project_out(step.variable, step.target)
-            _STEP_PROJECT.observe(time.perf_counter() - step_started)
-        else:
-            assert isinstance(step, MergeStep)
-            first = columnar(step.first.relation, live.pop(step.first.relation))
-            second = columnar(
-                step.second.relation, live.pop(step.second.relation)
-            )
-            build, probe = _merge_operands(first, second, annihilates)
-            produced = build.merge(probe, step.target)
-            _STEP_MERGE.observe(time.perf_counter() - step_started)
-        live[step.target.relation] = produced
-        max_live = max(
-            max_live, sum(len(relation) for relation in live.values())
-        )
-    final = live[plan.final_relation]
-    if isinstance(final, ColumnarKRelation):
-        result = final.nullary_annotation()
-    else:  # step-free plan: the final relation is an input
-        result = final.annotation(())
     return ExecutionReport(
         result=result,
         steps_executed=len(plan.steps),

@@ -14,7 +14,8 @@ amortizes the key-column work across a whole batch:
   members of one group read the same relations, with the same interned key
   columns, through the identical step sequence;
 * stack the members' annotation columns into one 2-D array (one column per
-  member) and run the plan **once** over
+  member) and run the plan **once**, through the same step loop as the
+  serial tiers, over
   :class:`~repro.db.annotated.PackedColumnarKRelation` views driven by a
   :class:`_StackedKernel`, so each lexsort, each group-boundary scan and
   each ``searchsorted`` is paid once per step for the whole group — and
@@ -71,8 +72,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.core.algorithm import _array_kernel_if_selected, _merge_operands
-from repro.core.plan import MergeStep, Plan, ProjectStep, binding_occurrences
+from repro.core.algorithm import _array_kernel_if_selected, _run_steps
+from repro.core.plan import Plan, binding_occurrences
 from repro.db.annotated import KDatabase, PackedColumnarKRelation
 from repro.exceptions import ReproError
 
@@ -354,22 +355,10 @@ def _execute_group(group: list[FusedTask], kernel):
                 view.interner,
                 sort_cache=view._sort_cache,
             )
-        annihilates = kernel.monoid.annihilates
-        for step in plan.steps:
-            if isinstance(step, ProjectStep):
-                source = live.pop(step.source.relation)
-                produced = source.project_out(step.variable, step.target)
-            else:
-                assert isinstance(step, MergeStep)
-                first = live.pop(step.first.relation)
-                second = live.pop(step.second.relation)
-                build, probe = _merge_operands(first, second, annihilates)
-                produced = build.merge(probe, step.target)
-            live[step.target.relation] = produced
+        final, _max_live = _run_steps(plan, live, kernel.monoid.annihilates)
     except OverflowError:
         annotated.decline_columnar(kernel)
         return None
-    final = live[plan.final_relation]
     if len(final) == 0:
         return [zero] * width
     row = final.annotations[0]

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.algebra.base import K, TwoMonoid
-from repro.core.plan import MergeStep, PlanStep, ProjectStep
-from repro.db.annotated import KDatabase, KRelation
+from repro.core.algorithm import _execute_tiered
+from repro.core.plan import AbsorbStep, MergeStep, ProjectStep
+from repro.db.annotated import ColumnarKRelation, KDatabase, KRelation
 from repro.db.fact import Fact
 from repro.exceptions import NotHierarchicalError, QueryError
 from repro.query.atoms import Variable
@@ -39,22 +40,6 @@ from repro.query.elimination import (
     applicable_rule2_steps,
     apply_step,
 )
-
-
-@dataclass(frozen=True)
-class AbsorbStep:
-    """Fold an all-free atom into a superset atom: ``target(y) = big(y) ⊗
-    small(y|X)`` (the free-connex rule; see :meth:`KRelation.absorb`)."""
-
-    small: "object"
-    big: "object"
-    target: "object"
-
-    def __str__(self) -> str:
-        return (
-            f"{self.target.relation} := "
-            f"{self.big.relation} ⊗ {self.small.relation}[subset]"
-        )
 
 
 @dataclass(frozen=True)
@@ -176,86 +161,24 @@ def execute_grouped_plan(
 ) -> KRelation[K]:
     """Execute a grouped plan, returning the answer K-relation over ``F``.
 
-    Every relation operation routes through the kernel tier *kernel_mode*
-    selects — the columnar (numpy) tier for flat-carrier monoids under
-    ``"auto"``/``"array"``, the batched kernels otherwise, the scalar
-    baseline under ``"scalar"`` — exactly like the Boolean
-    :func:`~repro.core.algorithm.execute_plan`.  The columnar answer
-    relation is decoded back to the dict layout, so callers always receive
-    a :class:`KRelation`.
+    Runs the same step loop and tier wrapper as the Boolean
+    :func:`~repro.core.algorithm.execute_plan` — the columnar (numpy) tier
+    for flat-carrier monoids under ``"auto"``/``"array"``, the batched
+    kernels otherwise, the scalar baseline under ``"scalar"`` — and reports
+    to the same tier and step metrics.  The columnar answer relation is
+    decoded back to the dict layout, so callers always receive a
+    :class:`KRelation`.
     """
-    from repro.core.algorithm import (
-        _attempt_columnar,
-        _kernel_context,
-        _merge_operands,
+    answer, _max_live = _execute_tiered(
+        plan, annotated, kernel_mode, _as_krelation
     )
-
-    answer = _attempt_columnar(
-        annotated,
-        kernel_mode,
-        lambda kernel: _execute_grouped_columnar(plan, annotated, kernel),
-    )
-    if answer is not None:
-        return answer
-    annihilates = annotated.monoid.annihilates
-    with _kernel_context(kernel_mode):
-        live: dict[str, KRelation[K]] = {
-            relation.atom.relation: relation
-            for relation in annotated.relations()
-        }
-        for step in plan.steps:
-            if isinstance(step, ProjectStep):
-                source = live.pop(step.source.relation)
-                live[step.target.relation] = source.project_out(
-                    step.variable, step.target
-                )
-            elif isinstance(step, AbsorbStep):
-                small = live.pop(step.small.relation)
-                big = live.pop(step.big.relation)
-                live[step.target.relation] = big.absorb(small, step.target)
-            else:
-                first = live.pop(step.first.relation)
-                second = live.pop(step.second.relation)
-                build, probe = _merge_operands(first, second, annihilates)
-                live[step.target.relation] = build.merge(probe, step.target)
-        return live[plan.final_relation]
+    return answer
 
 
-def _execute_grouped_columnar(
-    plan: GroupedPlan, annotated: KDatabase[K], array_kernel
-) -> KRelation[K]:
-    """Columnar tier of :func:`execute_grouped_plan` (including absorbs)."""
-    from repro.core.algorithm import _columnar_view_getter, _merge_operands
-    from repro.db.annotated import ColumnarKRelation
-
-    live: dict[str, object] = {
-        relation.atom.relation: relation
-        for relation in annotated.relations()
-    }
-    columnar = _columnar_view_getter(annotated, array_kernel)
-    annihilates = annotated.monoid.annihilates
-    for step in plan.steps:
-        if isinstance(step, ProjectStep):
-            name = step.source.relation
-            source = columnar(name, live.pop(name))
-            live[step.target.relation] = source.project_out(
-                step.variable, step.target
-            )
-        elif isinstance(step, AbsorbStep):
-            small = columnar(step.small.relation, live.pop(step.small.relation))
-            big = columnar(step.big.relation, live.pop(step.big.relation))
-            live[step.target.relation] = big.absorb(small, step.target)
-        else:
-            first = columnar(step.first.relation, live.pop(step.first.relation))
-            second = columnar(
-                step.second.relation, live.pop(step.second.relation)
-            )
-            build, probe = _merge_operands(first, second, annihilates)
-            live[step.target.relation] = build.merge(probe, step.target)
-    final = live[plan.final_relation]
+def _as_krelation(final) -> KRelation:
     if isinstance(final, ColumnarKRelation):
         return final.to_krelation()
-    return final
+    return final  # dict layout, or a step-free plan's input
 
 
 def evaluate_grouped(

@@ -5,7 +5,8 @@ each Rule 1 application becomes a ⊕-aggregation and each Rule 2 application a
 ⊗-join.  We compile the elimination trace of a hierarchical query *once* into
 a :class:`Plan` — a linear sequence of :class:`ProjectStep`/:class:`MergeStep`
 over named annotated relations — and then execute it against any 2-monoid and
-any annotated database.  This separates the query-dependent work (polynomial
+any annotated database (the free-variable engine adds a third step kind,
+:class:`AbsorbStep`).  This separates the query-dependent work (polynomial
 in the fixed query size) from the data-dependent work, matching the paper's
 data-complexity accounting.
 
@@ -73,6 +74,23 @@ class MergeStep:
         )
 
 
+@dataclass(frozen=True)
+class AbsorbStep:
+    """Fold an all-free atom into a superset atom: ``target(y) = big(y) ⊗
+    small(y|X)`` (the free-connex rule of :mod:`repro.core.grouped`; see
+    :meth:`~repro.db.annotated.KRelation.absorb`)."""
+
+    small: Atom
+    big: Atom
+    target: Atom
+
+    def __str__(self) -> str:
+        return (
+            f"{self.target.relation} := "
+            f"{self.big.relation} ⊗ {self.small.relation}[subset]"
+        )
+
+
 PlanStep = Union[ProjectStep, MergeStep]
 
 
@@ -92,10 +110,12 @@ class Plan:
 
     @property
     def project_count(self) -> int:
+        """Number of Rule 1 (⊕-aggregation) steps."""
         return sum(1 for step in self.steps if isinstance(step, ProjectStep))
 
     @property
     def merge_count(self) -> int:
+        """Number of Rule 2 (⊗-join) steps."""
         return sum(1 for step in self.steps if isinstance(step, MergeStep))
 
     @property

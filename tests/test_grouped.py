@@ -8,16 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.boolean import BooleanSemiring
 from repro.algebra.counting import CountingSemiring
-from repro.algebra.probability import ExactProbabilityMonoid
+from repro.algebra.probability import ExactProbabilityMonoid, ProbabilityMonoid
+from repro.core.algorithm import KERNEL_MODES
 from repro.core.grouped import (
     compile_grouped_plan,
     evaluate_grouped,
 )
+from repro.core.plan import AbsorbStep, MergeStep, ProjectStep
 from repro.db.database import Database
 from repro.db.evaluation import satisfying_assignments
+from repro.db.fact import Fact
 from repro.exceptions import NotHierarchicalError, QueryError
 from repro.query.families import q_eq1, q_h, star_query
+from repro.problems.possible_worlds import ProbabilisticDatabase
+from repro.query.parser import parse_query
 from repro.workloads.generators import (
     random_database,
     random_probabilistic_database,
@@ -144,3 +150,89 @@ class TestGroupedProbability:
         )
         for _values, probability in result.items():
             assert 0 <= probability <= 1
+
+
+#: (query, free variables, the step kinds its grouped plan runs).
+_STEP_KIND_PLANS = [
+    ("Q() :- R(X), S(X, Y)", {"X"}, [ProjectStep, MergeStep]),
+    ("Q() :- R(X), S(X, Y)", {"X", "Y"}, [AbsorbStep]),
+    ("Q() :- R(X, Y)", {"X", "Y"}, []),  # the answer is an input relation
+]
+
+
+class TestGroupedTiers:
+    """Every kernel mode answers every grouped step kind like the scalar
+    baseline: exactly for counting and Boolean carriers, within the
+    monoid tolerance for float probabilities."""
+
+    @pytest.fixture(params=_STEP_KIND_PLANS, ids=["merge", "absorb", "step_free"])
+    def case(self, request):
+        text, free, kinds = request.param
+        query = parse_query(text)
+        assert [type(step) for step in compile_grouped_plan(query, free).steps] == kinds
+        # A sparse unary R leaves X values of S unmatched, so merges and
+        # absorbs drop rows rather than pass S through.
+        rng = random.Random(17)
+        probabilities = {
+            Fact(atom.relation, tuple(rng.randrange(10) for _ in atom.variables)):
+            rng.uniform(0.05, 0.95)
+            for atom in query.atoms
+            for _ in range(5 if len(atom.variables) == 1 else 30)
+        }
+        return query, free, ProbabilisticDatabase(probabilities)
+
+    @staticmethod
+    def _answers(query, free, monoid, facts, annotation_of, mode):
+        result = evaluate_grouped(
+            query, free, monoid, facts, annotation_of, kernel_mode=mode
+        )
+        return result.atom.variables, dict(result.items())
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize(
+        "monoid, annotation_of",
+        [
+            (CountingSemiring(), lambda fact: 1 + sum(fact.values) % 3),
+            (BooleanSemiring(), lambda fact: sum(fact.values) % 4 != 0),
+        ],
+        ids=["counting", "boolean"],
+    )
+    def test_exact_carriers_match_scalar(self, case, mode, monoid, annotation_of):
+        query, free, pdb = case
+        facts = list(pdb.facts())
+        tier = self._answers(query, free, monoid, facts, annotation_of, mode)
+        scalar = self._answers(
+            query, free, monoid, facts, annotation_of, "scalar"
+        )
+        assert tier == scalar
+        assert scalar[1]  # a non-empty answer relation
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_counting_matches_assignment_grouping(self, case, mode):
+        query, free, pdb = case
+        order, counts = self._answers(
+            query, free, CountingSemiring(), pdb.facts(), lambda _f: 1, mode
+        )
+        expected = Counter(
+            tuple(assignment[v] for v in order)
+            for assignment in satisfying_assignments(
+                query, pdb.support_database()
+            )
+        )
+        assert counts == dict(expected)
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_probability_matches_scalar(self, case, mode):
+        query, free, pdb = case
+        monoid = ProbabilityMonoid()
+        facts = list(pdb.facts())
+        order, tier = self._answers(
+            query, free, monoid, facts, pdb.probability, mode
+        )
+        scalar_order, scalar = self._answers(
+            query, free, monoid, facts, pdb.probability, "scalar"
+        )
+        assert order == scalar_order
+        assert tier.keys() == scalar.keys()
+        for values, probability in scalar.items():
+            assert monoid.eq(tier[values], probability)

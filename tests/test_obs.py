@@ -411,3 +411,33 @@ class TestInstrumentationSeams:
             == 1
         )
         assert snapshot["repro_memo_entries"] == 1
+
+    def test_grouped_absorb_run_reports_step_and_tier(self):
+        from repro import Database, parse_query
+        from repro.algebra.counting import CountingSemiring
+        from repro.core.grouped import compile_grouped_plan, evaluate_grouped
+        from repro.core.plan import AbsorbStep
+
+        query = parse_query("Q() :- R(X), S(X, Y)")
+        plan = compile_grouped_plan(query, {"X", "Y"})
+        assert [type(step) for step in plan.steps] == [AbsorbStep]
+        database = Database.from_relations(
+            {"R": [(1,), (2,)], "S": [(1, 5), (2, 6), (3, 7)]}
+        )
+
+        def recorded():
+            snapshot = global_registry().snapshot()
+            steps = snapshot["repro_plan_step_seconds"]
+            tiers = snapshot["repro_tier_executions_total"]
+            return (
+                steps.get(("absorb",), (0, 0.0))[0],
+                tiers.get(("batched",), 0),
+            )
+
+        absorbs, executions = recorded()
+        result = evaluate_grouped(
+            query, {"X", "Y"}, CountingSemiring(), database.facts(),
+            lambda _fact: 1, kernel_mode="batched",
+        )
+        assert sorted(result.items()) == [((1, 5), 1), ((2, 6), 1)]
+        assert recorded() == (absorbs + 1, executions + 1)

@@ -5,8 +5,8 @@ Two checks, both fast and dependency-free:
 
 * **Docstring coverage** — every public callable (function, class, or
   public method of a public class) in ``src/repro/engine``,
-  ``src/repro/serve``, ``src/repro/obs``, the tier-selection and fusion
-  modules of ``src/repro/core`` and the perf suite must carry a
+  ``src/repro/serve``, ``src/repro/obs``, the plan, execution and
+  fusion modules of ``src/repro/core`` and the perf suite must carry a
   docstring.  These are the layers the serving and performance
   documentation points at; an undocumented entry point there is a docs
   regression, not a style nit.
@@ -38,6 +38,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: the scheduler's batching contract is defined by its docstrings.
 #: ``repro.core.algorithm`` holds the kernel modes and the one
 #: columnar-selection predicate every tier decision calls;
+#: ``repro.core.plan`` and ``repro.core.grouped`` hold the step types and
+#: the grouped executor that share its step loop;
 #: ``repro.bench.perf`` writes and compares the ``BENCH_perf.json``
 #: documents PERFORMANCE.md quotes.
 DOCUMENTED_PACKAGES = (
@@ -45,6 +47,8 @@ DOCUMENTED_PACKAGES = (
     "repro.serve",
     "repro.serve.http",
     "repro.core.algorithm",
+    "repro.core.plan",
+    "repro.core.grouped",
     "repro.core.fused",
     "repro.obs",
     "repro.bench.perf",
