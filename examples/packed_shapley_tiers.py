@@ -12,7 +12,7 @@ packed-operand caches — exactly, so every tier returns bit-identical
 ``#Sat`` vectors.
 
 This script builds an E6-style instance (a 2-branch star query over a
-random exogenous/endogenous split, like ``repro bench E6``), runs the full
+random exogenous/endogenous split, like ``repro experiments E6``), runs the full
 ``#Sat`` computation once per execution tier, verifies the answers agree
 bit-for-bit, and prints the timings — the packed tier is typically 2–3×
 the batched kernels and well over 100× the scalar baseline on the largest
@@ -67,18 +67,18 @@ def main() -> None:
         f"(#Sat vectors have {monoid.length} budget slots)"
     )
 
-    tiers = ["scalar", "batched"]
+    tiers = {"scalar": "scalar", "batched": "batched"}  # tier -> kernel_mode
     if numpy_or_none() is not None:
-        tiers.append("array")
+        tiers["array"] = "auto"
         kernel = array_kernel_for(monoid)
         print(f"array tier kernel: {kernel!r} (packed 2-D rows)")
     else:
         print("numpy not installed: the array tier would fall back, skipping")
 
     results, timings = {}, {}
-    for tier in tiers:
-        run = lambda tier=tier: execute_plan(
-            plan, annotated, kernel_mode=tier
+    for tier, mode in tiers.items():
+        run = lambda mode=mode: execute_plan(
+            plan, annotated, kernel_mode=mode
         ).result
         results[tier] = run()  # warm caches and columnar views first
         timings[tier] = best_of(run)

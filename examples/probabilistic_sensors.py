@@ -68,7 +68,7 @@ def main() -> None:
 
     print("scaling (the brute force enumerates 2^|D| worlds):")
     print(f"{'|D|':>6} | {'unified [s]':>12} | {'brute force [s]':>16}")
-    for gateways, sensors in ((2, 2), (2, 4), (3, 4)):
+    for gateways, sensors in ((2, 2), (2, 4), (3, 3)):
         network = build_network(gateways, 2, sensors, seed=gateways)
         start = time.perf_counter()
         marginal_probability(query, network)

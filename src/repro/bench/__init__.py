@@ -1,29 +1,21 @@
-"""Benchmark harness: timing, reporting, the E0–E11 experiment suite, and
-the scalar-vs-kernel perf suite behind ``BENCH_perf.json``."""
+"""Benchmark harness: timing, reporting and the E0–E15 experiment suite
+behind ``repro experiments``.
+
+The benchmark of record for end-to-end and per-layer performance is
+``perfbench/`` at the repository root (``python3 perfbench/run.py``).
+"""
 
 from repro.bench.experiments import ALL_EXPERIMENTS, figure1_instance, run_all
 from repro.bench.harness import doubling_ratios, loglog_slope, time_callable
-from repro.bench.perf import (
-    PERF_EXPERIMENTS,
-    compare_perf_documents,
-    render_perf_summary,
-    run_perf_suite,
-    write_perf_json,
-)
 from repro.bench.reporting import ExperimentResult, format_table
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentResult",
-    "PERF_EXPERIMENTS",
-    "compare_perf_documents",
     "doubling_ratios",
     "figure1_instance",
     "format_table",
     "loglog_slope",
-    "render_perf_summary",
     "run_all",
-    "run_perf_suite",
     "time_callable",
-    "write_perf_json",
 ]

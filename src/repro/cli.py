@@ -11,7 +11,6 @@ Commands
 ``serve``       concurrent request serving from a JSON request stream
 ``cache``       compiled-plan cache counters (``--clear`` to drop it)
 ``experiments`` regenerate EXPERIMENTS.md tables
-``bench``       scalar-vs-kernel + amortized-session + serving perf suite
 
 The evaluation commands (``pqe``, ``bsm``, ``shapley``, ``resilience``) run
 through the unified engine: each builds an :class:`~repro.engine.Engine`
@@ -33,13 +32,6 @@ import sys
 from typing import Sequence
 
 from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.bench.perf import (
-    PERF_EXPERIMENTS,
-    compare_perf_documents,
-    render_perf_summary,
-    run_perf_suite,
-    write_perf_json,
-)
 from repro.core.algorithm import KERNEL_MODES
 from repro.core.plan import clear_plan_cache, compile_plan, plan_cache_info
 from repro.db.evaluation import count_satisfying_assignments
@@ -69,7 +61,7 @@ def _add_kernel_mode_option(subparser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=KERNEL_MODES,
         help=(
-            "execution tier: auto/array use the columnar numpy tier for "
+            "execution tier: auto uses the columnar numpy tier for "
             "flat-carrier monoids (falling back to the batched kernels), "
             "batched forces the batched kernels, scalar the per-element "
             "baseline"
@@ -206,43 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "ids", nargs="*", help=f"subset of {', '.join(ALL_EXPERIMENTS)}"
-    )
-
-    bench = commands.add_parser(
-        "bench",
-        help="scalar-vs-kernel + amortized-session perf suite (BENCH_perf.json)",
-    )
-    bench.add_argument(
-        "ids", nargs="*", help=f"subset of {', '.join(PERF_EXPERIMENTS)}"
-    )
-    bench.add_argument(
-        "--json", dest="json_path", help="write the machine-readable document here"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="tiny sizes, one repeat (smoke agreement check)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats"
-    )
-    bench.add_argument(
-        "--kernel-mode",
-        dest="kernel_mode",
-        default=None,
-        choices=KERNEL_MODES,
-        help=(
-            "measure only this tier against the scalar baseline (default: "
-            "every available tier)"
-        ),
-    )
-    bench.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help=(
-            "diff two BENCH_perf.json documents (per-experiment speedup "
-            "deltas) instead of running experiments"
-        ),
     )
     return parser
 
@@ -483,42 +438,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.compare:
-        old_path, new_path = args.compare
-        if args.ids or args.json_path:
-            print(
-                "error: --compare takes no experiment ids or --json",
-                file=sys.stderr,
-            )
-            return 2
-        import json
-
-        with open(old_path, encoding="utf-8") as handle:
-            old_document = json.load(handle)
-        with open(new_path, encoding="utf-8") as handle:
-            new_document = json.load(handle)
-        print(compare_perf_documents(old_document, new_document))
-        return 0
-    requested = args.ids or list(PERF_EXPERIMENTS)
-    unknown = [name for name in requested if name not in PERF_EXPERIMENTS]
-    if unknown:
-        print(f"unknown perf experiment id(s): {unknown}", file=sys.stderr)
-        return 2
-    document = run_perf_suite(
-        requested, quick=args.quick, repeats=args.repeats,
-        tier=args.kernel_mode,
-    )
-    print(render_perf_summary(document))
-    if args.json_path:
-        path = write_perf_json(document, args.json_path)
-        print(f"\nwrote {path}")
-    if not all(exp["agree"] for exp in document["experiments"].values()):
-        print("error: kernel/scalar disagreement detected", file=sys.stderr)
-        return 1
-    return 0
-
-
 _HANDLERS = {
     "check": _cmd_check,
     "count": _cmd_count,
@@ -529,7 +448,6 @@ _HANDLERS = {
     "serve": _cmd_serve,
     "cache": _cmd_cache,
     "experiments": _cmd_experiments,
-    "bench": _cmd_bench,
 }
 
 

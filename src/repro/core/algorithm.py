@@ -68,15 +68,12 @@ _STEP_ABSORB = _STEP_SECONDS.labels(rule="absorb")
 StepHook = Callable[[PlanStep, KRelation], None]
 """Optional observer invoked after each executed step with its output relation."""
 
-KERNEL_MODES = ("auto", "array", "batched", "scalar")
-"""The three execution tiers (plus the auto selector):
+KERNEL_MODES = ("auto", "batched", "scalar")
+"""The three execution tiers' modes:
 
-* ``"auto"`` — the columnar (numpy) tier when the monoid's carrier is a flat
-  numeric scalar with a registered array kernel and numpy is importable,
-  otherwise the batched kernels;
-* ``"array"`` — same selection as ``auto`` (the explicit spelling used by
-  benchmarks and the CLI; like ``auto`` it transparently falls back to the
-  batched tier for exact carriers or when numpy is absent);
+* ``"auto"`` — the columnar (numpy) tier, reported as ``"array"``, when the
+  monoid's carrier is a flat numeric scalar with a registered array kernel
+  and numpy is importable, otherwise the batched kernels;
 * ``"batched"`` — registered batched kernels only, never the columnar tier
   (the PR 2 engine; the baseline the array tier is measured against);
 * ``"scalar"`` — per-element ``monoid.add``/``mul`` dispatch (the original
@@ -93,13 +90,13 @@ def _check_kernel_mode(kernel_mode: str) -> None:
 
 
 def selects_columnar(kernel_mode: str) -> bool:
-    """Whether *kernel_mode* selects the columnar tier (``auto``/``array``).
+    """Whether *kernel_mode* selects the columnar tier (``auto``).
 
     The one home of that decision: plan execution, fusion, the session's
     eager columnar builds and the circuit breaker's degradable-mode check
     all ask here.
     """
-    return kernel_mode in ("auto", "array")
+    return kernel_mode == "auto"
 
 
 def _kernel_context(kernel_mode: str):
@@ -301,10 +298,10 @@ def execute_plan(
     """Execute *plan* over *annotated* and return the result with bookkeeping.
 
     ``kernel_mode`` picks the execution tier (see :data:`KERNEL_MODES`).
-    Under ``"auto"``/``"array"`` flat-carrier monoids run on the columnar
-    (numpy) tier; exact carriers — and every run when numpy is absent —
-    fall back to the batched kernels, and ``"scalar"`` forces per-element
-    monoid dispatch (the perf-suite baseline).  Step observers (*on_step*)
+    Under ``"auto"`` flat-carrier monoids run on the columnar (numpy)
+    tier; exact carriers — and every run when numpy is absent — fall back
+    to the batched kernels, and ``"scalar"`` forces per-element monoid
+    dispatch (the paper-faithful oracle).  Step observers (*on_step*)
     receive dict-layout relations, so instrumented runs stay on the batched
     tier.  The columnar tier agrees with the batched one bit-identically
     for int/bool carriers and within the monoid tolerance for floats

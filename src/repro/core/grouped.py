@@ -163,9 +163,9 @@ def execute_grouped_plan(
 
     Runs the same step loop and tier wrapper as the Boolean
     :func:`~repro.core.algorithm.execute_plan` — the columnar (numpy) tier
-    for flat-carrier monoids under ``"auto"``/``"array"``, the batched
-    kernels otherwise, the scalar baseline under ``"scalar"`` — and reports
-    to the same tier and step metrics.  The columnar answer relation is
+    for flat-carrier monoids under ``"auto"``, the batched kernels
+    otherwise, the scalar baseline under ``"scalar"`` — and reports to the
+    same tier and step metrics.  The columnar answer relation is
     decoded back to the dict layout, so callers always receive a
     :class:`KRelation`.
     """

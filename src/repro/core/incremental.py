@@ -53,7 +53,7 @@ class IncrementalEvaluator(Generic[K]):
         Elimination policy for the compiled plan; ``"min_support"`` uses the
         initial database's support sizes.
     kernel_mode:
-        ``"auto"``/``"array"``/``"batched"`` route the initial
+        ``"auto"``/``"batched"`` route the initial
         :meth:`_build` through the batched kernel engine, ``"scalar"``
         forces per-element dispatch.  The columnar (array) tier is never
         used here: the maintained stages are exactly the dict-layout

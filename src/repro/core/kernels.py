@@ -27,8 +27,8 @@ Design:
   :class:`~repro.algebra.probability.ExactProbabilityMonoid` inherit their
   parent's kernel exactly when they inherit its ``add``/``mul``.
 * :func:`scalar_kernels` is a context manager that forces the generic kernel
-  everywhere — the benchmark suite uses it to measure scalar-vs-kernel
-  speedups on identical code paths (``execute_plan(kernel_mode="scalar")``).
+  everywhere — ``execute_plan(kernel_mode="scalar")`` runs the paper's
+  per-element baseline through it on the same code path as the kernels.
 
 On top of the batched tier sits an optional third, **columnar** tier: when
 numpy is importable and the monoid registers an :class:`ArrayKernel`, it
@@ -61,7 +61,7 @@ Example — resolve a batched kernel and run the two batch shapes:
 [5, 4]
 >>> kernel.mul_aligned([2, 3], [5, 7])  # aligned ⊗-products (Rule 2)
 [10, 21]
->>> with scalar_kernels():              # the perf suite's scalar baseline
+>>> with scalar_kernels():              # the scalar baseline
 ...     type(kernel_for(CountingSemiring())).__name__
 'GenericKernel'
 """
@@ -291,11 +291,11 @@ def kernel_for(monoid: TwoMonoid[K]) -> MonoidKernel[K]:
 def scalar_kernels() -> Iterator[None]:
     """Force the generic scalar kernel everywhere inside the block.
 
-    Used by the perf suite to time the scalar baseline on the exact same
-    batched execution path, isolating the kernel contribution.  The forcing
-    is **per thread**: ``execute_plan(kernel_mode="scalar")`` enters this
-    block on whichever worker thread runs it, without perturbing the tier
-    of plans executing concurrently on other threads.
+    Runs the scalar baseline on the exact same batched execution path,
+    isolating the kernel contribution.  The forcing is **per thread**:
+    ``execute_plan(kernel_mode="scalar")`` enters this block on whichever
+    worker thread runs it, without perturbing the tier of plans executing
+    concurrently on other threads.
     """
     previous = _forced_generic()
     _force_generic.value = True

@@ -61,8 +61,8 @@ class Engine:
         policy (callables bypass the plan cache).
     kernel_mode:
         Execution tier for every session this engine opens (see
-        :data:`repro.core.algorithm.KERNEL_MODES`): ``"auto"``/``"array"``
-        run flat-carrier monoids on the columnar numpy tier (falling back
+        :data:`repro.core.algorithm.KERNEL_MODES`): ``"auto"`` runs
+        flat-carrier monoids on the columnar numpy tier (falling back
         to the batched kernels for exact carriers or when numpy is not
         installed), ``"batched"`` forces the batched kernels, and ``"scalar"`` forces
         per-element monoid dispatch (the benchmark baseline).  Sessions

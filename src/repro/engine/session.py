@@ -189,12 +189,16 @@ def canonical_params(family: str, params: dict) -> dict:
     }
 
 
-def _bagset_length(params: dict) -> int:
-    vector_length = params.get("vector_length")
-    budget = params["budget"]
+def _bagset_length(budget: int, vector_length: int | None = None) -> int:
+    """The bag-set vector length a budget profile is computed at."""
     return max(
         vector_length if vector_length is not None else budget + 1, 1
     )
+
+
+def _bagset_state_keys(params: dict) -> tuple:
+    length = _bagset_length(params["budget"], params.get("vector_length"))
+    return (("bagset", length),)
 
 
 def _shapley_state_keys(_params: dict) -> tuple:
@@ -218,8 +222,8 @@ _FAMILY_STATE: dict[str, Callable[[dict], tuple]] = {
     "banzhaf_value": _shapley_state_keys,
     "banzhaf_values": _shapley_state_keys,
     "resilience": lambda params: ("resilience",),
-    "bagset_profile": lambda params: (("bagset", _bagset_length(params)),),
-    "maximize": lambda params: (("bagset", params["budget"] + 1),),
+    "bagset_profile": _bagset_state_keys,
+    "maximize": _bagset_state_keys,
 }
 
 #: Per-fact / per-slice families answerable from a memoized whole-family
@@ -1069,9 +1073,7 @@ class EngineSession:
             database=database, repair_database=repair, budget=budget
         )
         instance.validate_against(self.query)
-        length = max(
-            vector_length if vector_length is not None else budget + 1, 1
-        )
+        length = _bagset_length(budget, vector_length)
         monoid = self._monoid_for(("bagset", length), "bagset", length)
         psi = _bagset_psi(instance, monoid)
         facts = [*instance.database.facts(), *instance.addable_facts()]

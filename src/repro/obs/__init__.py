@@ -6,7 +6,7 @@ The package has two halves:
   :class:`MetricsRegistry` holding :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` families, rendered to Prometheus text exposition by
   :func:`render_prometheus`; plus the shared nearest-rank
-  :func:`quantile` the bench suite reports.
+  :func:`quantile` the benchmark (``perfbench/``) reports.
 * :mod:`repro.obs.trace` — per-request :class:`Trace` lifecycle spans
   (admission → queue wait → claim → execute/memo/sweep/fuse → resolve),
   reachable from futures via :func:`trace_of`, with an optional

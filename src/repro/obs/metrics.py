@@ -16,8 +16,8 @@ this repo's serving stack:
 * **bucketed quantiles** — :class:`Histogram` keeps fixed cumulative
   buckets (the Prometheus ``le`` convention); :meth:`Histogram.quantile`
   answers p50/p95/p99 from the bucket counts, and the module-level
-  :func:`quantile` helper is the *exact* sorted-list definition the bench
-  suite reports, so runtime and benchmark percentiles share one home.
+  :func:`quantile` helper is the *exact* sorted-list definition the
+  benchmark reports, so runtime and benchmark percentiles share one home.
 
 Registries render to the Prometheus text exposition format via
 :func:`render_prometheus`, and :func:`parse_exposition` reads that format
@@ -67,12 +67,12 @@ def _next_stripe_index() -> int:
 
 
 def quantile(values: Iterable[float], fraction: float) -> float:
-    """The exact nearest-rank percentile the bench suite reports.
+    """The exact nearest-rank percentile the benchmark reports.
 
-    Sorts a copy of *values* and indexes at ``round(fraction · (n-1))`` —
-    the historical ``bench/perf.py`` definition, now shared by the serve
-    bench scenario and anything else reporting exact percentiles, so every
-    p50/p95 in the repo means the same thing.  An empty input yields 0.0.
+    Sorts a copy of *values* and indexes at ``round(fraction · (n-1))``.
+    The benchmark (``perfbench/``) and anything else reporting exact
+    percentiles share this definition, so every p50/p95 in the repo means
+    the same thing.  An empty input yields 0.0.
 
     >>> quantile([3.0, 1.0, 2.0], 0.5)
     2.0

@@ -14,7 +14,7 @@ Layers, bottom-up:
   and batching per-fact Shapley/Banzhaf floods into whole-instance sweeps;
 * :class:`~repro.serve.server.Server` — the futures front-end
   (``submit``/``map``/``close``) binding one serving target, backing the
-  ``repro serve`` CLI and the ``serve`` bench scenario.
+  ``repro serve`` CLI.
 
 Cross-cutting robustness (all default-off; see
 :mod:`repro.serve.admission` and :mod:`repro.serve.faults`):

@@ -300,6 +300,11 @@ class _BreakerState:
         self.since = 0.0
 
 
+#: The tier a tripped breaker drops a columnar session to: the next rung
+#: down, whose answers the columnar tier agrees with.
+_DEGRADED_KERNEL_MODE = "batched"
+
+
 class CircuitBreaker:
     """Per-session circuit breaker with tier degradation before opening.
 
@@ -308,7 +313,7 @@ class CircuitBreaker:
 
     * **closed** — healthy.  ``failure_threshold`` consecutive kernel
       failures *trip* the breaker: the session's kernel tier is degraded to
-      ``degrade_to`` (array → batched; results stay bit-identical because
+      ``"batched"`` (array → batched; results stay bit-identical because
       the tiers agree) and the state moves to *degraded*.
     * **degraded** — serving on the fallback tier.  A success after
       ``cooldown`` seconds restores the session's configured tier and
@@ -328,7 +333,6 @@ class CircuitBreaker:
         *,
         failure_threshold: int = 5,
         cooldown: float = 1.0,
-        degrade_to: str = "batched",
     ):
         if failure_threshold < 1:
             raise ReproError(
@@ -338,7 +342,6 @@ class CircuitBreaker:
             raise ReproError(f"cooldown must be >= 0, got {cooldown}")
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self.degrade_to = degrade_to
         self._lock = threading.Lock()
         self._states: dict[int, _BreakerState] = {}
         self._trips = 0
@@ -389,11 +392,10 @@ class CircuitBreaker:
             if state.failures < self.failure_threshold:
                 return
             if state.status == "closed":
-                # One rung: a columnar session drops to degrade_to; any
-                # other tier has nothing lower and just starts probing.
-                mode = session.kernel_mode
-                if selects_columnar(mode) and mode != self.degrade_to:
-                    session.degrade_kernel_mode(self.degrade_to)
+                # One rung: a columnar session drops to the batched tier;
+                # any other tier has nothing lower and just starts probing.
+                if selects_columnar(session.kernel_mode):
+                    session.degrade_kernel_mode(_DEGRADED_KERNEL_MODE)
                 state.status = "degraded"
                 self._trips += 1
             elif state.status == "degraded":
@@ -427,7 +429,6 @@ class CircuitBreaker:
             return {
                 "failure_threshold": self.failure_threshold,
                 "cooldown": self.cooldown,
-                "degrade_to": self.degrade_to,
                 "trips": self._trips,
                 "recoveries": self._recoveries,
                 "open_rejections": self._open_rejections,
@@ -476,5 +477,5 @@ class CircuitBreaker:
     def __repr__(self) -> str:
         return (
             f"CircuitBreaker(failure_threshold={self.failure_threshold}, "
-            f"cooldown={self.cooldown}, degrade_to={self.degrade_to!r})"
+            f"cooldown={self.cooldown})"
         )

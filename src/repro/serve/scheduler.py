@@ -59,7 +59,11 @@ import threading
 import time
 from concurrent.futures import Future
 
-from repro.engine.session import EngineSession
+from repro.engine.session import (
+    _BINDING_FAMILIES as _FUSED_FAMILIES,
+    _DERIVED_FROM,
+    EngineSession,
+)
 from repro.exceptions import (
     CircuitOpenError,
     DeadlineExceeded,
@@ -78,15 +82,13 @@ from repro.serve.admission import (
 from repro.serve.faults import FaultInjector
 from repro.serve.request import Request
 
-#: Per-fact families answerable from one whole-instance sweep.
-_SWEEPS = {
-    "shapley_value": "shapley_values",
-    "banzhaf_value": "banzhaf_values",
-}
-
-#: Families whose binding-carrying requests batch into one shared columnar
-#: scan (:meth:`EngineSession.evaluate_many` → :mod:`repro.core.fused`).
-_FUSED_FAMILIES = ("pqe", "expected_count")
+#: Families answerable from one memoized whole-instance sweep: the
+#: session's derivation table, so a new sweep family is added there once.
+#: Only the per-fact families (Shapley, Banzhaf) ever batch: ``sat_counts``
+#: takes no parameters, so its requests always coalesce into one flight.
+#: ``_FUSED_FAMILIES`` (the session's binding families) batch into one
+#: shared columnar scan instead (:mod:`repro.core.fused`).
+_SWEEPS = {family: sweep for family, (sweep, _derive) in _DERIVED_FROM.items()}
 
 #: Every scheduler lifecycle event, by its historical ``stats()`` key.
 #: These are the children of ``repro_scheduler_events_total{event=…}``;

@@ -18,7 +18,7 @@ Four layers of checks:
   exceed int64; cached columnar views must be invalidated by mutation.
 * **numpy optionality**: with the import blocked (``sys.modules``
   monkeypatch, plus a subprocess leg that blocks it for a whole pytest
-  subset), every ``kernel_mode`` — including ``"array"`` — keeps producing
+  subset), every ``kernel_mode`` — including ``"auto"`` — keeps producing
   correct answers through the batched fallback.
 """
 
@@ -130,7 +130,7 @@ def _run_all_tiers(query, annotated):
     plan = compile_plan(query)
     return {
         mode: execute_plan(plan, annotated, kernel_mode=mode).result
-        for mode in ("scalar", "batched", "array")
+        for mode in ("scalar", "batched", "auto")
     }
 
 
@@ -182,7 +182,7 @@ class TestTierEquivalenceEndToEnd:
         annotated = _random_annotated(q_eq1(), monoid, sampler, rng)
         plan = compile_plan(q_eq1())
         array_result = execute_plan(
-            plan, annotated, kernel_mode="array"
+            plan, annotated, kernel_mode="auto"
         ).result
         scalar_result = execute_plan(
             plan, annotated, kernel_mode="scalar"
@@ -335,7 +335,7 @@ class TestColumnarSpecials:
         ]
         monoid = CountingSemiring()
         array_answer = evaluate_grouped(
-            query, free, monoid, facts, lambda f: 1, kernel_mode="array"
+            query, free, monoid, facts, lambda f: 1, kernel_mode="auto"
         )
         scalar_answer = evaluate_grouped(
             query, free, monoid, facts, lambda f: 1, kernel_mode="scalar"
@@ -435,7 +435,7 @@ class TestNonAnnihilatingUnionMerge:
                 q_eq1(), monoid, sampler, rng, tuples=30
             )
             results = _run_all_tiers(q_eq1(), annotated)
-            assert results["scalar"] == results["batched"] == results["array"]
+            assert results["scalar"] == results["batched"] == results["auto"]
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +498,9 @@ class TestTierSelection:
                 )
             results = _run_all_tiers(query, annotated)
             assert (
-                results["scalar"] == results["batched"] == results["array"]
+                results["scalar"] == results["batched"] == results["auto"]
             ), monoid.name
-            assert results["array"] == 2**240  # exact big-int product
+            assert results["auto"] == 2**240  # exact big-int product
 
     @requires_numpy
     def test_products_beyond_int64_agree_across_tiers(self):
@@ -513,8 +513,8 @@ class TestTierSelection:
             for y in range(3):
                 relation.set((1, y), 2**40)
         results = _run_all_tiers(query, annotated)
-        assert results["scalar"] == results["batched"] == results["array"]
-        assert results["array"] == (3 * 2**40) ** 2
+        assert results["scalar"] == results["batched"] == results["auto"]
+        assert results["auto"] == (3 * 2**40) ** 2
 
     @requires_numpy
     def test_overflow_error_falls_back_and_is_memoized(self):
@@ -547,7 +547,7 @@ class TestTierSelection:
         plan = compile_plan(query)
         kernel = array_kernel_for(monoid)
         assert isinstance(kernel, _Int64Kernel)
-        result = execute_plan(plan, annotated, kernel_mode="array").result
+        result = execute_plan(plan, annotated, kernel_mode="auto").result
         assert result == 2**240  # batched fallback, exact
         assert annotated.columnar_declined(kernel)
         # Mutation resets the verdict (the database may now fit).
@@ -555,7 +555,7 @@ class TestTierSelection:
         values = next(iter(relation.support()))
         relation.set(values, 7)
         assert not annotated.columnar_declined(kernel)
-        rerun = execute_plan(plan, annotated, kernel_mode="array").result
+        rerun = execute_plan(plan, annotated, kernel_mode="auto").result
         assert rerun == execute_plan(
             plan, annotated, kernel_mode="scalar"
         ).result
@@ -569,14 +569,14 @@ class TestTierSelection:
             query, monoid, lambda r: r.randrange(1, 5), rng
         )
         plan = compile_plan(query)
-        first = execute_plan(plan, annotated, kernel_mode="array").result
+        first = execute_plan(plan, annotated, kernel_mode="auto").result
         info = annotated.columnar_cache_info()
         assert info["relations"] == len(query.atoms)
         # Mutate one fact and re-run: the cached view must be rebuilt.
         relation = next(iter(annotated.relations()))
         values = next(iter(relation.support()))
         relation.set(values, 1000)
-        rerun = execute_plan(plan, annotated, kernel_mode="array").result
+        rerun = execute_plan(plan, annotated, kernel_mode="auto").result
         expected = execute_plan(plan, annotated, kernel_mode="scalar").result
         assert rerun == expected
         assert isinstance(first, int)  # the pre-mutation run completed
@@ -698,7 +698,7 @@ class TestPackedVectorRelationOps:
             )
             results = _run_all_tiers(query, annotated)
             assert (
-                results["scalar"] == results["batched"] == results["array"]
+                results["scalar"] == results["batched"] == results["auto"]
             ), monoid.name
 
 
@@ -724,7 +724,7 @@ class TestPackedVectorLargestConfigs:
         )
         plan = compile_plan(query)
         batched = execute_plan(plan, annotated, kernel_mode="batched").result
-        array = execute_plan(plan, annotated, kernel_mode="array").result
+        array = execute_plan(plan, annotated, kernel_mode="auto").result
         assert array == batched
         assert max(array.true_counts) > 2**63  # the exact leg really ran
 
@@ -740,7 +740,7 @@ class TestPackedVectorLargestConfigs:
             query, monoid, facts, annotation_psi(instance, monoid)
         )
         results = _run_all_tiers(query, annotated)
-        assert results["scalar"] == results["batched"] == results["array"]
+        assert results["scalar"] == results["batched"] == results["auto"]
 
     def test_e4_bagset_largest_config(self):
         """The full E4 largest configuration (|D| = 1600, θ = 16):
@@ -759,7 +759,7 @@ class TestPackedVectorLargestConfigs:
             query, monoid, facts, annotation_psi(instance, monoid)
         )
         results = _run_all_tiers(query, annotated)
-        assert results["scalar"] == results["batched"] == results["array"]
+        assert results["scalar"] == results["batched"] == results["auto"]
 
     def test_bagset_overflowing_multiplicities_stay_exact(self):
         """Products beyond int64 switch the rows to exact object
@@ -771,8 +771,8 @@ class TestPackedVectorLargestConfigs:
             for y in range(3):
                 relation.set((1, y), monoid.constant(2**40))
         results = _run_all_tiers(query, annotated)
-        assert results["scalar"] == results["batched"] == results["array"]
-        assert results["array"][0] == (3 * 2**40) ** 2
+        assert results["scalar"] == results["batched"] == results["auto"]
+        assert results["auto"][0] == (3 * 2**40) ** 2
 
     def test_shapley_huge_input_coefficients_pack_exactly(self):
         """Annotations already beyond int64 encode as exact object rows
@@ -789,7 +789,7 @@ class TestPackedVectorLargestConfigs:
         packed = kernel.to_array([huge])
         assert packed.dtype == object
         results = _run_all_tiers(query, annotated)
-        assert results["scalar"] == results["batched"] == results["array"]
+        assert results["scalar"] == results["batched"] == results["auto"]
 
     def test_seeded_packed_views_match_lazy(self):
         """bulk_annotate(columnar=True) seeds packed views equal to the
@@ -863,15 +863,9 @@ class TestNumpyBlocked:
             query, monoid, lambda r: r.random(), rng
         )
         results = _run_all_tiers(query, annotated)
-        # "array" silently fell back to the batched tier.
-        assert results["array"] == results["batched"]
-        assert abs(results["scalar"] - results["array"]) <= 1e-9
-
-    def test_bench_reports_two_tiers(self, blocked_numpy):
-        from repro.bench.perf import available_tiers, environment_metadata
-
-        assert available_tiers() == ["scalar", "batched"]
-        assert environment_metadata()["numpy"] == "absent"
+        # "auto" silently fell back to the batched tier.
+        assert results["auto"] == results["batched"]
+        assert abs(results["scalar"] - results["auto"]) <= 1e-9
 
     def test_vector_carriers_fall_back(self, blocked_numpy):
         """Without numpy the packed tier silently yields to the batched
@@ -891,7 +885,7 @@ class TestNumpyBlocked:
                     values, rng.choice([monoid.one, monoid.star, monoid.zero])
                 )
         results = _run_all_tiers(query, annotated)
-        assert results["array"] == results["batched"] == results["scalar"]
+        assert results["auto"] == results["batched"] == results["scalar"]
 
     def test_engine_session_unaffected(self, blocked_numpy):
         from repro.engine import Engine
@@ -901,7 +895,7 @@ class TestNumpyBlocked:
         database = random_probabilistic_database(
             query, facts_per_relation=30, domain_size=8, seed=9
         )
-        session = Engine(kernel_mode="array").open(
+        session = Engine(kernel_mode="auto").open(
             query, probabilistic=database
         )
         probability = session.pqe()

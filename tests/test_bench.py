@@ -59,118 +59,6 @@ class TestReporting:
         assert "e-09" in table
 
 
-class TestPerfSuiteDocument:
-    def test_single_experiment_document_only_claims_itself(self, tmp_path):
-        """`repro bench E4 --json out.json` must not write a summary
-        claiming the whole suite ran: experiments and summary carry exactly
-        the executed ids (regression guard for the single-experiment run)."""
-        from repro.bench.perf import run_perf_suite
-
-        document = run_perf_suite(["E4"], quick=True, repeats=1)
-        assert set(document["experiments"]) == {"E4"}
-        assert set(document["summary"]) == {"E4"}
-
-    def test_schema_v7_fields(self):
-        from repro.bench.perf import (
-            SCHEMA_VERSION,
-            available_tiers,
-            run_perf_suite,
-        )
-
-        document = run_perf_suite(["res"], quick=True, repeats=1)
-        assert document["schema_version"] == SCHEMA_VERSION == 7
-        assert document["tiers"] == available_tiers()
-        environment = document["environment"]
-        assert environment["python"] and environment["platform"]
-        assert environment["numpy"]  # a version string or "absent"
-        assert environment["cpu_count"] >= 1
-        summary = document["summary"]["res"]
-        assert summary["agree"] is True
-        if "array" in document["tiers"]:
-            run = document["experiments"]["res"]["runs"][-1]
-            assert "array_s" in run and "array_vs_kernel" in run
-            assert "largest_config_array_vs_kernel" in summary
-
-    def test_compare_tolerates_one_sided_tiers(self):
-        """Satellite: a v5 artifact (no sharded timings, no sharded serve
-        leg) diffed against a v6 one must render ``n/a`` for the one-sided
-        columns/tiers instead of raising (both directions)."""
-        from repro.bench.perf import compare_perf_documents
-
-        v5 = {
-            "schema_version": 5,
-            "environment": {"numpy": "2.4.6"},
-            "experiments": {
-                "E2": {"runs": [{
-                    "params": {"|D|": 900}, "scalar_s": 1.0,
-                    "kernel_s": 0.5, "speedup": 2.0,
-                }]},
-                "serve": {"runs": [
-                    {"params": {"tier": "scalar"}, "oneshot_s": 1.0,
-                     "speedup": 1.5},
-                    {"params": {"tier": "array"}, "oneshot_s": 0.7,
-                     "speedup": 2.0},
-                ]},
-            },
-        }
-        v6 = {
-            "schema_version": 6,
-            "environment": {"numpy": "2.4.6"},
-            "experiments": {
-                "E2": {"runs": [{
-                    "params": {"|D|": 900}, "scalar_s": 1.0,
-                    "sharded_s": 0.4, "sharded_speedup": 2.5,
-                }]},
-                "serve": {"runs": [
-                    {"params": {"tier": "scalar"}, "oneshot_s": 0.9,
-                     "speedup": 1.6},
-                    {"params": {"tier": "array"}, "oneshot_s": 0.6,
-                     "speedup": 2.1},
-                    {"params": {"tier": "sharded"}, "oneshot_s": 0.6,
-                     "speedup": 2.2},
-                ]},
-            },
-        }
-        forward = compare_perf_documents(v5, v6)
-        assert "n/a (not in OLD)" in forward
-        assert "tier sharded: n/a (only in NEW)" in forward
-        backward = compare_perf_documents(v6, v5)
-        assert "n/a (not in NEW)" in backward
-        assert "tier sharded: n/a (only in OLD)" in backward
-
-    def test_compare_documents_renders_deltas(self):
-        from repro.bench.perf import compare_perf_documents, run_perf_suite
-
-        old = run_perf_suite(["E4"], quick=True, repeats=1)
-        new = run_perf_suite(["E4", "res"], quick=True, repeats=1)
-        rendered = compare_perf_documents(old, new)
-        assert "== E4 ==" in rendered
-        assert "== res: only in NEW ==" in rendered
-        assert "scalar" in rendered and "kernel" in rendered
-        assert "speedup" in rendered
-
-    def test_cli_bench_compare(self, tmp_path, capsys):
-        from repro.cli import main
-
-        old_path = tmp_path / "old.json"
-        new_path = tmp_path / "new.json"
-        assert main(["bench", "E4", "--quick", "--json", str(old_path)]) == 0
-        assert main(["bench", "E4", "--quick", "--json", str(new_path)]) == 0
-        capsys.readouterr()
-        code = main(["bench", "--compare", str(old_path), str(new_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "perf comparison" in out and "== E4 ==" in out
-
-    def test_cli_bench_compare_rejects_run_arguments(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["bench", "E4", "--compare", "old.json", "new.json"]
-        )
-        assert code == 2
-
-
 class TestFastExperiments:
     def test_figure1_instance_matches_paper(self):
         query, instance = figure1_instance()

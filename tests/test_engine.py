@@ -73,6 +73,21 @@ class TestEngineConfig:
         with pytest.raises(ReproError, match="kernel mode"):
             Engine(kernel_mode="vectorized")
 
+    def test_array_names_a_tier_not_a_mode(self, capsys):
+        """``"array"`` labels the columnar tier in metrics and traces; the
+        mode that selects it is spelled ``"auto"``."""
+        from repro.cli import main
+        from repro.core.algorithm import KERNEL_MODES
+
+        tier = "array"
+        assert KERNEL_MODES == ("auto", "batched", "scalar")
+        with pytest.raises(ReproError, match="unknown kernel mode 'array'"):
+            Engine(kernel_mode=tier)
+        with pytest.raises(SystemExit):
+            main(["pqe", "Q() :- R(X)", "--db", "unused.json",
+                  "--kernel-mode", tier])
+        assert "invalid choice: 'array'" in capsys.readouterr().err
+
     def test_rejects_unknown_policy_name(self):
         with pytest.raises(ReproError, match="policy"):
             Engine(policy="fastest_first")
@@ -523,14 +538,3 @@ class TestIncrementalKernelModes:
                 relation = evaluator._stages[atom.relation]
                 fresh._relations[atom.relation] = relation.copy()
             assert result == run_algorithm(query, fresh)
-
-
-class TestEngineBenchScenario:
-    def test_quick_engine_scenario_agrees(self):
-        from repro.bench.perf import run_perf_suite
-
-        document = run_perf_suite(["engine"], quick=True, repeats=1)
-        experiment = document["experiments"]["engine"]
-        assert experiment["agree"]
-        assert experiment["annotation"]["identical"]
-        assert document["summary"]["engine"]["agree"]

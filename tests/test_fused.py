@@ -392,8 +392,11 @@ def _session_workload(size: int = 120, seed: int = 7):
 
 
 class TestSessionBatching:
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_evaluate_many_matches_serial_loop_bitwise(self, mode):
+    # ``"array"`` runs ``"auto"`` and also requires the columnar tier to
+    # have served the fused batches whenever numpy is importable.
+    @pytest.mark.parametrize("case", (*KERNEL_MODES, "array"))
+    def test_evaluate_many_matches_serial_loop_bitwise(self, case):
+        mode = "auto" if case == "array" else case
         query, database, hubs = _session_workload()
         serial_session = Engine(kernel_mode=mode).open(
             query, probabilistic=database
@@ -413,6 +416,8 @@ class TestSessionBatching:
         kernel = _array_kernel_if_selected(
             fused_session.kernel_mode, ProbabilityMonoid()
         )
+        if case == "array" and numpy_or_none() is not None:
+            assert stack_token(kernel) is not None
         if stack_token(kernel) is not None:
             assert stats["fused_batches"] == 2  # one per family
             assert stats["fused_queries"] == 2 * len(hubs)

@@ -16,6 +16,7 @@ from repro.core.grouped import (
     compile_grouped_plan,
     evaluate_grouped,
 )
+from repro.core.kernels import array_kernel_for
 from repro.core.plan import AbsorbStep, MergeStep, ProjectStep
 from repro.db.database import Database
 from repro.db.evaluation import satisfying_assignments
@@ -24,10 +25,22 @@ from repro.exceptions import NotHierarchicalError, QueryError
 from repro.query.families import q_eq1, q_h, star_query
 from repro.problems.possible_worlds import ProbabilisticDatabase
 from repro.query.parser import parse_query
+from repro.obs import global_registry
 from repro.workloads.generators import (
     random_database,
     random_probabilistic_database,
 )
+
+TIER_CASES = (*KERNEL_MODES, "array")
+"""The kernel modes, plus ``"array"``: an ``"auto"`` run that must also have
+executed on the columnar tier (reported as ``"array"``) whenever the monoid
+has an array kernel — and on the batched tier when it has none."""
+
+
+def _tier_runs(tier):
+    return global_registry().snapshot()["repro_tier_executions_total"].get(
+        (tier,), 0
+    )
 
 
 class TestCompilation:
@@ -183,12 +196,20 @@ class TestGroupedTiers:
 
     @staticmethod
     def _answers(query, free, monoid, facts, annotation_of, mode):
+        if mode != "array":
+            result = evaluate_grouped(
+                query, free, monoid, facts, annotation_of, kernel_mode=mode
+            )
+            return result.atom.variables, dict(result.items())
+        tier = "array" if array_kernel_for(monoid) is not None else "batched"
+        before = _tier_runs(tier)
         result = evaluate_grouped(
-            query, free, monoid, facts, annotation_of, kernel_mode=mode
+            query, free, monoid, facts, annotation_of, kernel_mode="auto"
         )
+        assert _tier_runs(tier) == before + 1
         return result.atom.variables, dict(result.items())
 
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("mode", TIER_CASES)
     @pytest.mark.parametrize(
         "monoid, annotation_of",
         [
@@ -207,7 +228,7 @@ class TestGroupedTiers:
         assert tier == scalar
         assert scalar[1]  # a non-empty answer relation
 
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("mode", TIER_CASES)
     def test_counting_matches_assignment_grouping(self, case, mode):
         query, free, pdb = case
         order, counts = self._answers(
@@ -221,7 +242,7 @@ class TestGroupedTiers:
         )
         assert counts == dict(expected)
 
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("mode", TIER_CASES)
     def test_probability_matches_scalar(self, case, mode):
         query, free, pdb = case
         monoid = ProbabilityMonoid()

@@ -2,7 +2,7 @@
 
 Covers the dependency-free :mod:`repro.obs` package in isolation —
 counters/gauges/histograms and their registry, the shared ``quantile``
-definition the bench suite reports, Prometheus text rendering (and its
+definition the benchmark reports, Prometheus text rendering (and its
 scrape-side inverse), request traces and the JSONL event log — plus the
 integration seams: instrumented scheduler/session stats staying exactly
 as they were, and every stats() key now being a view over a registry.

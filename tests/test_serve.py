@@ -798,8 +798,8 @@ class TestColumnarSeeding:
 
         plan = compile_q(query)
         assert (
-            execute_plan(plan, seeded, kernel_mode="array").result
-            == execute_plan(plan, lazy, kernel_mode="array").result
+            execute_plan(plan, seeded, kernel_mode="auto").result
+            == execute_plan(plan, lazy, kernel_mode="auto").result
         )
 
     def test_seeded_views_match_lazy_materialization(self):
@@ -844,7 +844,7 @@ class TestColumnarSeeding:
 
     def test_array_sessions_seed_during_annotation(self):
         query, data = _workload()
-        session = Engine(kernel_mode="array").open(query, **data)
+        session = Engine(kernel_mode="auto").open(query, **data)
         session.pqe()
         annotated = session._annotated[("pqe", False)]
         # All views present and tagged with the untouched relation versions.
@@ -854,7 +854,7 @@ class TestColumnarSeeding:
 
 
 # ----------------------------------------------------------------------
-# CLI + bench integration
+# CLI integration
 # ----------------------------------------------------------------------
 class TestServeCLI:
     def _write_stream(self, tmp_path, requests):
@@ -905,22 +905,3 @@ class TestServeCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert "failed: " in out
-
-
-class TestServeBench:
-    def test_quick_scenario_agrees_and_reports_latency(self):
-        from repro.bench.perf import perf_serve
-
-        result = perf_serve(quick=True, repeats=1)
-        assert result["agree"]
-        for run in result["runs"]:
-            assert run["identical"]
-            for entry in run["workers"].values():
-                assert entry["throughput_rps"] > 0
-                assert entry["p95_ms"] >= entry["p50_ms"] >= 0
-
-    def test_suite_includes_serve(self):
-        from repro.bench.perf import PERF_EXPERIMENTS, SCHEMA_VERSION
-
-        assert "serve" in PERF_EXPERIMENTS
-        assert SCHEMA_VERSION >= 4  # the serve scenario landed in v4

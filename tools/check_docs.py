@@ -5,11 +5,10 @@ Two checks, both fast and dependency-free:
 
 * **Docstring coverage** — every public callable (function, class, or
   public method of a public class) in ``src/repro/engine``,
-  ``src/repro/serve``, ``src/repro/obs``, the plan, execution and
-  fusion modules of ``src/repro/core`` and the perf suite must carry a
-  docstring.  These are the layers the serving and performance
-  documentation points at; an undocumented entry point there is a docs
-  regression, not a style nit.
+  ``src/repro/serve``, ``src/repro/obs`` and the plan, execution and
+  fusion modules of ``src/repro/core`` must carry a docstring.  These are
+  the layers the serving and performance documentation points at; an
+  undocumented entry point there is a docs regression, not a style nit.
 * **Internal links** — every relative link target in ``ARCHITECTURE.md``,
   ``README.md`` and ``PERFORMANCE.md`` must exist in the repository, so
   the documentation map never silently rots as files move.
@@ -39,9 +38,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 #: ``repro.core.algorithm`` holds the kernel modes and the one
 #: columnar-selection predicate every tier decision calls;
 #: ``repro.core.plan`` and ``repro.core.grouped`` hold the step types and
-#: the grouped executor that share its step loop;
-#: ``repro.bench.perf`` writes and compares the ``BENCH_perf.json``
-#: documents PERFORMANCE.md quotes.
+#: the grouped executor that share its step loop.
 DOCUMENTED_PACKAGES = (
     "repro.engine",
     "repro.serve",
@@ -51,7 +48,6 @@ DOCUMENTED_PACKAGES = (
     "repro.core.grouped",
     "repro.core.fused",
     "repro.obs",
-    "repro.bench.perf",
 )
 
 #: Markdown documents whose relative links must resolve.
